@@ -364,8 +364,8 @@ def bench_noc_route_chiplet(n: int):
 def bench_checkpoint_roundtrip(n: int):
     """Factory: one whole-machine capture -> restore round trip
     (``repro.sim.state.MachineCheckpoint``) on a warmed 2-core machine —
-    the unit of work the batch backend's fork-at-divergence pays per
-    forked representative, and the CLI pays per recorder window."""
+    the unit of work a checkpoint recorder pays per window (error replay,
+    the ``python -m repro.sim.state`` CLI)."""
     from repro.common.config import small_config
     from repro.isa.compiled import ProgramCache, ProgramSpec
     from repro.isa.instructions import Compute, Load, SetAprx, Store

@@ -929,18 +929,6 @@ class L1Controller:
         watchdog's diagnostic dump and the invariant monitor's skip set)."""
         return {block: len(q) for block, q in self._wb_buffer.items()}
 
-    def wb_buffer_snapshot(self) -> dict[int, int]:
-        """Deprecated alias of :meth:`wb_buffer_occupancy` — "snapshot"
-        now refers to the restorable checkpoint layer."""
-        import warnings
-
-        warnings.warn(
-            "L1Controller.wb_buffer_snapshot() is deprecated; use "
-            "wb_buffer_occupancy() (or MachineCheckpoint for restorable "
-            "state)", DeprecationWarning, stacklevel=2,
-        )
-        return self.wb_buffer_occupancy()
-
     # ------------------------------------------------------------------
     # checkpoint layer
     # ------------------------------------------------------------------

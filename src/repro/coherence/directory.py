@@ -540,18 +540,6 @@ class DirectoryAgent:
         """Shallow copy of the entry map (for invariant checking)."""
         return dict(self._entries)
 
-    def entries_snapshot(self) -> dict[int, DirEntry]:
-        """Deprecated alias of :meth:`entries_view` — "snapshot" now
-        refers to the restorable checkpoint layer."""
-        import warnings
-
-        warnings.warn(
-            "DirectoryAgent.entries_snapshot() is deprecated; use "
-            "entries_view() (or MachineCheckpoint for restorable state)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.entries_view()
-
     # ------------------------------------------------------------------
     # checkpoint layer
     # ------------------------------------------------------------------

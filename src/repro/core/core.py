@@ -64,14 +64,10 @@ def _prog_blob(prog: CompiledProgram) -> dict:
 
 
 def _prog_from_blob(blob: dict) -> CompiledProgram:
-    """Rebuild a compiled program from :func:`_prog_blob` columns.
-
-    Columns are copied so checkpoint consumers (the batch backend's
-    fork-at-divergence substitution) may mutate them freely without
-    aliasing the cached program."""
+    """Rebuild a compiled program from :func:`_prog_blob` columns."""
     return CompiledProgram(
-        blob["op"].copy(), blob["addr"].copy(), blob["value"].copy(),
-        blob["cycles"].copy(), dict(blob["objs"]), dict(blob["ranges"]),
+        blob["op"], blob["addr"], blob["value"], blob["cycles"],
+        dict(blob["objs"]), dict(blob["ranges"]),
         validate_loads=blob["validate"],
     )
 

@@ -27,48 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.harness.experiment import (
-    DEFAULT_SCALE, DEFAULT_THREADS, experiment_config, row_from_result,
-    run_workload_result,
+    DEFAULT_THREADS, experiment_config, row_from_result, run_workload_result,
 )
 from repro.harness.options import LEGACY_KWARGS
 from repro.harness.parallel import (
     _NO_RETRY, GridFailure, GridPoint, RetryPolicy, _attempt_serial,
     _failure_from, _run_point, _traceback_tail,
 )
-from repro.isa.compiled import OP_SETAPRX
 from repro.sim.batch import Lane, DecisionTrace, RepRun, probe_hook, run_group
-from repro.sim.machine import machine_hook
-from repro.sim.state import CheckpointRecorder, MachineCheckpoint
 from repro.store.keys import canonical_point
-from repro.workloads.registry import create
 
 __all__ = ["BatchReport", "batch_fan_out", "group_key",
-           "VERIFY_SHARED_SAMPLE", "FORK_CHECKPOINT_PERIOD"]
+           "VERIFY_SHARED_SAMPLE"]
 
 #: shared lanes per share event that re-run serially as an end-to-end
 #: cross-check of the sharing proof (0 disables the backstop)
 VERIFY_SHARED_SAMPLE = 1
-
-#: base checkpoint window armed on every representative run (cycles);
-#: peeled lanes fork from the last safe-point checkpoint before their
-#: first divergent decision instead of re-simulating from cycle 0.
-#: 0 disables forking (every peeled lane seeds a fresh serial
-#: representative).
-FORK_CHECKPOINT_PERIOD = 256
-
-#: adaptive growth of the window (see ``CheckpointRecorder``): spacing
-#: grows to ``now // FORK_CHECKPOINT_GROWTH``, keeping the capture count
-#: logarithmic in the (unknown) run length
-FORK_CHECKPOINT_GROWTH = 6
-
-#: minimum fraction of the previous representative's run the anchor
-#: must skip for a fork to be worth taking.  A fork still simulates
-#: everything after the anchor *and* (for the first fork of a group)
-#: pays a full serial cross-check, so an early anchor makes the
-#: shortcut a net loss — the sweep benches regress — while a late one
-#: amortizes: resuming at 25% saves nothing after the cross-check, at
-#: 75% it beats a fresh representative even including it.
-FORK_MIN_FRACTION = 0.25
 
 #: deprecated run_workload shim kwargs: points still using them are not
 #: worth teaching the batch path about — they fall back to serial.
@@ -80,23 +54,17 @@ _SHIM_KWARGS = frozenset(LEGACY_KWARGS)
 class BatchReport:
     """What the batch executor actually did, for tests and diagnostics.
 
-    ``reps + verified + serial + degraded + fork_verified`` is the
-    number of full serial simulations executed; ``shared`` lanes were
-    served without one and ``forked`` representatives with only a
-    partial one (resumed from the previous representative's checkpoint
-    at the divergence point, then sharing with their own class as
-    usual).
+    ``reps + verified + serial + degraded`` is the number of serial
+    simulations executed; ``shared`` lanes were served without one.
     """
 
     groups: int = 0      #: lockstep groups executed
     lanes: int = 0       #: points that entered a lockstep group
     serial: int = 0      #: points run serially (unbatchable/singleton)
-    reps: int = 0        #: full representative runs (peel recursion)
+    reps: int = 0        #: representative runs (peel recursion)
     shared: int = 0      #: lanes served from a representative's machine
     verified: int = 0    #: shared lanes re-run as the serial cross-check
     degraded: int = 0    #: lanes forced serial after a failed cross-check
-    forked: int = 0      #: representatives resumed from a checkpoint
-    fork_verified: int = 0  #: forked reps re-run as the serial cross-check
     divergences: list = field(default_factory=list)  #: (index, why)
 
 
@@ -148,205 +116,15 @@ def _lane_cfg(kwargs: dict):
 
 
 def _rep_run(point: GridPoint) -> RepRun:
-    """Run one representative serially with the decision probe armed
-    and a checkpoint recorder attached (the fork-at-divergence
-    anchors)."""
+    """Run one representative serially with the decision probe armed."""
     records: list = []
-    recorders: list = []
-
-    def attach(machine) -> None:
-        machine.checkpoint_recorder = CheckpointRecorder(
-            FORK_CHECKPOINT_PERIOD, growth=FORK_CHECKPOINT_GROWTH)
-        recorders.append(machine.checkpoint_recorder)
-
-    if FORK_CHECKPOINT_PERIOD:
-        hooks = machine_hook(attach)
-    else:  # forking disabled: plain probe-only representative
-        from contextlib import nullcontext
-        hooks = nullcontext()
-    with probe_hook(records), hooks:
+    with probe_hook(records):
         result, cfg = run_workload_result(point.workload,
                                           **dict(point.kwargs))
     gw = cfg.ghostwriter
     trace = DecisionTrace(records, swept_d=gw.d_distance,
                           mode=gw.similarity_mode)
-    return RepRun(result=result, cfg=cfg, trace=trace,
-                  checkpoints=recorders[-1] if recorders else None,
-                  records=records)
-
-
-# ---------------------------------------------------------------------
-# fork-at-divergence: resume a peeled lane from a representative's
-# checkpoint taken before the lanes' first divergent decision
-# ---------------------------------------------------------------------
-
-#: point kwargs consumed by :func:`_lane_cfg` (the rest go to the
-#: workload constructor, mirroring ``run_workload_result``)
-_CFG_KWARGS = ("d_distance", "gi_timeout", "protocol", "topology",
-               "options")
-
-
-def _blob_total(stats_blob: dict, key: str) -> float:
-    """Sum of counter ``key`` over a ``StatGroup.snapshot`` tree."""
-    total = stats_blob["values"].get(key, 0) or 0
-    for kid in stats_blob["children"].values():
-        total += _blob_total(kid, key)
-    return total
-
-
-def _gi_clean(ckpt: MachineCheckpoint) -> bool:
-    """True when, at capture time, the GI flash timer had provably never
-    been armed — making the checkpointed prefix independent of
-    ``gi_timeout`` (the ``gi_never_armed`` argument, evaluated on the
-    checkpoint's own counters instead of the finished run's)."""
-    for l1b in ckpt.blob["l1s"]:
-        if l1b["gi_timer_armed"] or l1b["gi_blocks"]:
-            return False
-    stats = ckpt.blob["stats"]
-    return (_blob_total(stats, "gi_serviced") == 0
-            and _blob_total(stats, "self_invalidations") == 0)
-
-
-def _substitute_core_d(core_blob: dict, rep_d: int, lane_d: int) -> dict:
-    """A copy of one core's snapshot with swept ``SetAprx`` operands
-    rewritten ``rep_d`` -> ``lane_d`` (the operand lives in the compiled
-    ``cycles`` column / the recorder's ``cycs`` list)."""
-    out = dict(core_blob)
-    prog = out.get("prog")
-    if prog is not None:
-        mask = (prog["op"] == OP_SETAPRX) & (prog["cycles"] == rep_d)
-        if mask.any():
-            prog = dict(prog)
-            cycles = prog["cycles"].copy()
-            cycles[mask] = lane_d
-            prog["cycles"] = cycles
-            out["prog"] = prog
-    if out.get("mode") == "recorded":
-        out["cycs"] = [
-            lane_d if (op == OP_SETAPRX and cyc == rep_d) else cyc
-            for op, cyc in zip(out["ops"], out["cycs"])
-        ]
-    return out
-
-
-def _substitute_d(ckpt: MachineCheckpoint, rep_d: int,
-                  lane_d: int) -> MachineCheckpoint:
-    """The representative's checkpoint re-expressed for a lane: every
-    swept d-distance programming — live scribe thresholds and pending
-    ``SetAprx`` operands in core programs — rewritten to the lane's.
-
-    Same caveat as the sharing substitution rule: a *hardcoded*
-    ``SetAprx`` operand coincidentally equal to ``rep_d`` is rewritten
-    too, which would mis-simulate the lane — the per-group fork
-    cross-check (run serially before any unverified fork row is
-    trusted) is the backstop, degrading the group to serial peeling.
-    Never mutates the input (blob arrays may alias the program cache).
-    """
-    if lane_d == rep_d:
-        return ckpt
-    blob = dict(ckpt.blob)
-    l1s = []
-    for l1b in blob["l1s"]:
-        scribe = dict(l1b["scribe"])
-        if scribe.get("d_distance") == rep_d:
-            scribe["d_distance"] = lane_d
-            l1b = dict(l1b)
-            l1b["scribe"] = scribe
-        l1s.append(l1b)
-    blob["l1s"] = l1s
-    blob["cores"] = {
-        cid: _substitute_core_d(core_blob, rep_d, lane_d)
-        for cid, core_blob in blob["cores"].items()
-    }
-    return MachineCheckpoint(cycle=ckpt.cycle,
-                             fingerprint=ckpt.fingerprint, blob=blob)
-
-
-def _fork_lane(point: GridPoint, rep_lane: Lane, out: RepRun,
-               lane: Lane) -> RepRun | None:
-    """Run ``lane`` as a *forked representative*: resume from the
-    previous representative's last checkpoint before their first
-    divergent decision, with the decision probe seeded with the
-    provably shared prefix — the result is a full :class:`RepRun`
-    (trace, recorder and all) that can anchor sharing and further
-    forks for its own equivalence class.  ``None`` when no valid
-    anchor exists (the caller falls back to a fresh serial
-    representative).
-
-    Sound because every comparator decision strictly before the
-    divergence cycle is provably identical under the lane's threshold
-    (``DecisionTrace.divergence_cycle``), so the checkpointed prefix is
-    a prefix of the *lane's* own serial run; d-dependent residue in the
-    captured state (scribe programming, pending ``SetAprx`` operands)
-    is rewritten by :func:`_substitute_d`, and a GI-timeout difference
-    is only accepted while the checkpoint provably predates any timer
-    arming (:func:`_gi_clean`).
-    """
-    if out.checkpoints is None or out.records is None:
-        return None
-    div = out.trace.divergence_cycle(lane.d)
-    if div is None or div < 0:
-        # agrees (gi-only peel) or no cycle anchor: when the timer was
-        # armed we cannot place the gi divergence in time — fall back
-        return None
-    ckpt = out.checkpoints.latest_before(div)
-    if ckpt is None:
-        return None
-    if ckpt.cycle < FORK_MIN_FRACTION * out.result.cycles:
-        return None  # anchor too early: resuming saves too little
-    if lane.gi != rep_lane.gi and not _gi_clean(ckpt):
-        return None
-    kwargs = dict(point.kwargs)
-    cfg = _lane_cfg(kwargs)
-    rep_d = out.cfg.ghostwriter.d_distance
-    lane_d = cfg.ghostwriter.d_distance
-    # seed the probe with the prefix the lane provably replays: every
-    # rep decision up to the anchor, swept thresholds relabeled to the
-    # lane's (outcomes unchanged — that is what "before the divergence
-    # cycle" means).  Unstamped records (engine-less probes) cannot be
-    # placed relative to the anchor, so they veto the fork.
-    records: list = []
-    for r in out.records:
-        if len(r) < 6 or r[5] < 0:
-            return None
-        if r[5] > ckpt.cycle:
-            continue
-        if r[2] == rep_d:
-            r = (r[0], r[1], lane_d, r[3], r[4], r[5])
-        records.append(r)
-    ckpt = _substitute_d(ckpt, rep_d, lane_d)
-    for key in _CFG_KWARGS:
-        kwargs.pop(key, None)
-    workload = create(
-        point.workload,
-        num_threads=kwargs.pop("num_threads", DEFAULT_THREADS),
-        seed=kwargs.pop("seed", 12345),
-        scale=kwargs.pop("scale", DEFAULT_SCALE),
-        **kwargs,
-    )
-    recorders: list = []
-
-    def attach(machine) -> None:
-        machine.checkpoint_recorder = CheckpointRecorder(
-            FORK_CHECKPOINT_PERIOD, growth=FORK_CHECKPOINT_GROWTH)
-        recorders.append(machine.checkpoint_recorder)
-
-    with probe_hook(records), machine_hook(attach):
-        machine = workload.prepare(cfg)
-    ckpt.restore_into(machine)
-    rec = recorders[-1]
-    # the anchor is a valid checkpoint of *this* lane (post
-    # substitution), so later lanes may chain from it; restart the
-    # adaptive window where the clock actually is
-    rec.checkpoints.append(ckpt)
-    if rec.growth:
-        rec.period = max(rec.period, ckpt.cycle // rec.growth)
-    machine.resume()
-    result = workload.collect(machine, cfg)
-    trace = DecisionTrace(records, swept_d=lane_d,
-                          mode=cfg.ghostwriter.similarity_mode)
-    return RepRun(result=result, cfg=cfg, trace=trace,
-                  checkpoints=rec, records=records)
+    return RepRun(result=result, cfg=cfg, trace=trace)
 
 
 def _shared_row(point: GridPoint, out: RepRun):
@@ -411,40 +189,7 @@ def _run_lockstep_group(points, idxs, policy, emit, rpt) -> None:
         return _attempt_serial(_rep_run, lane.payload,
                                points[lane.payload], policy)
 
-    # trust-but-verify, fork edition: the first forked representative
-    # of the group also runs serially; a row mismatch returns the
-    # serial row for that lane and degrades every later peel to full
-    # serial representatives
-    fork_state = {"verified": False, "disabled": not FORK_CHECKPOINT_PERIOD}
-
-    def fork(rep_lane: Lane, out: RepRun, lane: Lane):
-        if fork_state["disabled"]:
-            return None
-        point = points[lane.payload]
-        try:
-            forked = _fork_lane(point, rep_lane, out, lane)
-        except Exception:
-            forked = None  # any fork failure is just a missed shortcut
-        if forked is None:
-            return None
-        if not fork_state["verified"]:
-            fork_state["verified"] = True
-            serial_out = _attempt_serial(_run_point, lane.payload, point,
-                                         policy)
-            try:
-                row = _shared_row(point, forked)
-            except Exception:
-                row = None
-            if row is None or serial_out != row:
-                fork_state["disabled"] = True
-                rpt.divergences.append(
-                    (lane.payload, "fork cross-check mismatch"))
-                return serial_out
-            rpt.fork_verified += 1
-        rpt.forked += 1
-        return forked
-
-    for rep, out, shared in run_group(lanes, run_rep, fork=fork):
+    for rep, out, shared in run_group(lanes, run_rep):
         if not isinstance(out, RepRun):
             # representative failed: its outcome is its own (a
             # GridFailure); nobody shared it, the rest re-seeded

@@ -83,18 +83,6 @@ class BackingStore:
         """Deep copy of all resident blocks (test oracles, checkpoints)."""
         return {addr: blk.copy() for addr, blk in self._blocks.items()}
 
-    def snapshot(self) -> dict[int, list[int]]:
-        """Deprecated alias of :meth:`memory_image` — "snapshot" now
-        refers to the restorable checkpoint layer."""
-        import warnings
-
-        warnings.warn(
-            "BackingStore.snapshot() is deprecated; use memory_image() "
-            "(or MachineCheckpoint for restorable state)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.memory_image()
-
     def restore(self, image: dict[int, list[int]]) -> None:
         """Adopt a :meth:`memory_image` (deep-copied in)."""
         self._blocks = {addr: list(blk) for addr, blk in image.items()}

@@ -58,9 +58,8 @@ class ScribeUnit:
         self.bus = None
         #: decision-trace probe (repro.sim.batch): a list that records
         #: every comparator decision as
-        #: ``(write_word, block_word, programmed_d, line_state, ok, cycle)``
-        #: (cycle is -1 when no engine is attached); None keeps the hot
-        #: path to a single attribute check
+        #: ``(write_word, block_word, programmed_d, line_state, ok)``;
+        #: None keeps the hot path to a single attribute check
         self.probe = None
 
     # -- setaprx / endaprx --------------------------------------------
@@ -127,9 +126,7 @@ class ScribeUnit:
         self._counters["passes" if ok else "fails"] += 1
         if self.probe is not None:
             self.probe.append(
-                (write_word, block_word, self.d_distance, state, ok,
-                 self.engine.now if self.engine is not None else -1)
-            )
+                (write_word, block_word, self.d_distance, state, ok))
         bus = self.bus
         if bus is not None:
             bus.emit(Event(

@@ -75,9 +75,7 @@ def probe_hook(records: list):
     machines constructed while the context is active.
 
     Each comparator decision appends
-    ``(write_word, block_word, programmed_d, line_state, ok, cycle)``
-    (older 5-tuple producers without the cycle stamp remain accepted —
-    their records simply carry no fork anchor).
+    ``(write_word, block_word, programmed_d, line_state, ok)``.
 
     Composition with the hit-run fast lane (:mod:`repro.core.hitrun`):
     the lane stays enabled under the batch backend, but an attached
@@ -85,8 +83,8 @@ def probe_hook(records: list):
     break* — the lane refuses to merge comparator checks it cannot
     replay record-for-record, so the breaking scribble executes on the
     scalar path at its scalar dispatch cycle and the probe tuples
-    (values, states, ``cycle`` stamps) stay byte-identical to a
-    lane-off run.  Precise-state hits before the break still vectorize.
+    (values, states) stay byte-identical to a lane-off run.
+    Precise-state hits before the break still vectorize.
     """
     def attach(machine) -> None:
         for l1 in machine.l1s:
@@ -108,7 +106,7 @@ class DecisionTrace:
     """
 
     __slots__ = ("mode", "n_checks", "write_words", "block_words",
-                 "states", "ok", "cycles", "_cache")
+                 "states", "ok", "_cache")
 
     def __init__(self, records: Iterable[tuple], swept_d: int,
                  mode: str = "bitwise") -> None:
@@ -117,9 +115,6 @@ class DecisionTrace:
         records = list(records)
         self.mode = mode
         self.n_checks = len(records)
-        # records are 6-tuples (..., cycle) from the live probe, or
-        # legacy 5-tuples; a missing/unknown cycle becomes -1, which
-        # divergence_cycle treats as "no fork anchor"
         swept = [r for r in records if r[2] == swept_d]
         n = len(swept)
         self.write_words = np.fromiter(
@@ -130,9 +125,6 @@ class DecisionTrace:
             (STATE_CODES.get(r[3], -1) for r in swept), dtype=np.int8,
             count=n)
         self.ok = np.fromiter((r[4] for r in swept), dtype=bool, count=n)
-        self.cycles = np.fromiter(
-            (r[5] if len(r) > 5 else -1 for r in swept), dtype=np.int64,
-            count=n)
         self._cache: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -166,23 +158,6 @@ class DecisionTrace:
         comparator decision the representative made."""
         return bool(np.array_equal(self.decisions(d), self.ok))
 
-    def divergence_cycle(self, d: int) -> int | None:
-        """Cycle of the *first* comparator decision threshold ``d``
-        decides differently than the representative did, or ``None``
-        when the lane agrees everywhere.
-
-        Every decision strictly before this cycle is provably identical
-        under ``d`` — the fork-at-divergence anchor: a checkpoint taken
-        before it is a valid starting state for the lane.  Returns
-        ``-1`` when the first divergent record carries no cycle stamp
-        (legacy 5-tuple probe) — callers must treat that as
-        "unanchorable", not as cycle −1.
-        """
-        diff = self.decisions(d) != self.ok
-        if not diff.any():
-            return None
-        return int(self.cycles[int(np.argmax(diff))])
-
 
 @dataclass(frozen=True, slots=True)
 class Lane:
@@ -202,18 +177,11 @@ class Lane:
 @dataclass(frozen=True, slots=True)
 class RepRun:
     """A finished representative run: the reusable result, the config it
-    ran under, and its decision trace.
-
-    ``checkpoints`` (a :class:`repro.sim.state.CheckpointRecorder`) and
-    ``records`` (the raw probe tuples) are optional fork-at-divergence
-    material — absent, peeled lanes always fall back to serial runs.
-    """
+    ran under, and its decision trace."""
 
     result: Any          # repro.workloads.base.WorkloadResult (or similar)
     cfg: Any             # SimConfig
     trace: DecisionTrace
-    checkpoints: Any = None   # CheckpointRecorder of the rep's machine
-    records: Any = None       # raw probe records (6-tuples)
 
 
 def gi_never_armed(stats) -> bool:
@@ -252,8 +220,7 @@ def share_split(trace: DecisionTrace, rep: Lane, lanes: Iterable[Lane], *,
 
 
 def run_group(lanes: Iterable[Lane],
-              run_rep: Callable[[Lane], Any], *,
-              fork: Callable[[Lane, RepRun, Lane], Any] | None = None
+              run_rep: Callable[[Lane], Any]
               ) -> Iterator[tuple[Lane, Any, list[Lane]]]:
     """The recursive representative loop over one lockstep group.
 
@@ -264,27 +231,11 @@ def run_group(lanes: Iterable[Lane],
     some representative's ``shared`` list.  Lanes that fail the sharing
     predicate peel back into the pool and seed the next iteration — the
     lane-level deoptimization.
-
-    ``fork(prev_rep, prev_out, lane)`` — when given — accelerates the
-    peel recursion: each round after the first may run its
-    representative by *forking* the previous representative at the
-    point their decisions first diverge (resuming from a checkpoint
-    instead of re-simulating the common prefix).  A non-``None`` return
-    must be that lane's finished outcome — a full :class:`RepRun`
-    (prefix-seeded trace included) lets the forked run serve as the
-    round's representative and share with its own equivalence class;
-    any other outcome is yielded for the lane directly.  ``None`` falls
-    back to ``run_rep`` as before.
     """
     remaining = list(lanes)
-    prev: tuple[Lane, RepRun] | None = None
     while remaining:
         rep, rest = remaining[0], remaining[1:]
-        out = None
-        if fork is not None and prev is not None:
-            out = fork(prev[0], prev[1], rep)
-        if out is None:
-            out = run_rep(rep)
+        out = run_rep(rep)
         if not isinstance(out, RepRun):
             yield rep, out, []
             remaining = rest
@@ -293,7 +244,6 @@ def run_group(lanes: Iterable[Lane],
         shared, remaining = share_split(out.trace, rep, rest,
                                        rep_armed_gi=armed)
         yield rep, out, shared
-        prev = (rep, out)
 
 
 def classify_divergence(trace: DecisionTrace, d: int,

@@ -318,13 +318,13 @@ class Machine:
         if rec is None:
             return eng.run(max_cycles=max_cycles)
         queue = eng._queue
+        period = rec.period
         while queue:
             nxt = queue[0][0]
             if nxt > max_cycles:
                 # delegate so the timeout message (and its diagnostics)
                 # is byte-identical to the unchunked path
                 return eng.run(max_cycles=max_cycles)
-            period = rec.period  # re-read: adaptive recorders grow it
             cap = min(((nxt // period) + 1) * period, max_cycles)
             eng.run_until(cap, advance_clock=False)
             tries = self._SAFE_POINT_SEARCH

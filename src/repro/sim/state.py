@@ -357,28 +357,14 @@ class CheckpointRecorder:
     boundary that is not a safe point is *skipped* (counted in
     :attr:`skipped`), never fatal — transient unsafe states (a core
     blocked mid-miss across the boundary) simply thin the checkpoint
-    stream.  ``max_keep`` bounds memory by dropping the oldest.
+    stream.  ``max_keep`` bounds memory by dropping the oldest."""
 
-    ``growth > 0`` makes the window adaptive: after each capture the
-    period grows to ``now // growth``, so checkpoint spacing stays
-    proportional to elapsed time (a geometric train, ~``growth``
-    checkpoints per doubling of the run length).  Short runs get anchors
-    a few hundred cycles apart while multi-million-cycle runs pay for
-    only a few dozen captures — the shape the batch backend's
-    fork-at-divergence wants, where the run length is unknown up
-    front."""
-
-    def __init__(self, period: int, max_keep: int | None = None,
-                 growth: int = 0) -> None:
+    def __init__(self, period: int, max_keep: int | None = None) -> None:
         if period < 1:
             raise ValueError("checkpoint period must be >= 1 cycle")
         if max_keep is not None and max_keep < 1:
             raise ValueError("max_keep must be >= 1")
-        if growth < 0:
-            raise ValueError("growth must be >= 0")
         self.period = period
-        self._base_period = period
-        self.growth = growth
         self.max_keep = max_keep
         self.checkpoints: list[MachineCheckpoint] = []
         #: capture attempts that found the machine unsafe (the machine
@@ -402,24 +388,11 @@ class CheckpointRecorder:
         self.checkpoints.append(ckpt)
         if self.max_keep is not None and len(self.checkpoints) > self.max_keep:
             del self.checkpoints[0]
-        if self.growth:
-            self.period = max(self._base_period,
-                              machine.engine.now // self.growth)
         return ckpt
 
     def latest(self) -> MachineCheckpoint | None:
         """Most recent checkpoint, or None."""
         return self.checkpoints[-1] if self.checkpoints else None
-
-    def latest_before(self, cycle: int) -> MachineCheckpoint | None:
-        """Most recent checkpoint captured strictly before ``cycle``."""
-        best = None
-        for ckpt in self.checkpoints:
-            if ckpt.cycle < cycle:
-                best = ckpt
-            else:
-                break
-        return best
 
 
 # ----------------------------------------------------------------------

@@ -138,9 +138,8 @@ class Workload(abc.ABC):
 
         The first half of :meth:`run`, exposed separately so the
         checkpoint layer can interpose between construction and
-        execution — the batch backend's fork path builds a machine this
-        way, restores a :class:`~repro.sim.state.MachineCheckpoint` into
-        it, and resumes instead of running from cycle 0.
+        execution: restore a :class:`~repro.sim.state.MachineCheckpoint`
+        into the machine and resume it instead of running from cycle 0.
         """
         if cfg.num_cores < self.num_threads:
             raise ValueError(

@@ -87,15 +87,3 @@ def test_memory_image_deep():
     snap[0][0] = 42
     assert bs.load_word(0) == 1
 
-
-def test_snapshot_shim_warns_and_is_deep():
-    import warnings
-
-    bs = BackingStore()
-    bs.store_word(0, 1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        snap = bs.snapshot()
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    snap[0][0] = 42
-    assert bs.load_word(0) == 1

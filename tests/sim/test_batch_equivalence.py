@@ -102,6 +102,18 @@ def test_batch_matches_serial_gi_sweep():
     assert run_grid(points, options=BATCH) == run_grid(points)
 
 
+def test_batch_matches_serial_when_every_lane_peels():
+    """linear_regression's decisions differ at every swept d, so each
+    lane peels and runs as its own representative: the peel path alone
+    must still reproduce the serial rows."""
+    points = _points("linear_regression", ds=(1, 2, 4, 8), seeds=(7,))
+    report = BatchReport()
+    batch = batch_fan_out(points, report=report)
+    assert report.reps == report.lanes == len(points)
+    assert report.shared == 0
+    assert batch == run_grid(points)
+
+
 def test_batch_matches_jobs2():
     """Close the serial/jobs/batch triangle directly."""
     points = _points("bad_dot_product", ds=(0, 1, 4, 8))

@@ -229,6 +229,43 @@ class TestInjectedDivergence:
         assert report.shared == 0
 
 
+def test_batch_grid_takes_no_checkpoints(monkeypatch):
+    """Representatives run with the decision probe alone: a d x gi grid
+    through the batch backend captures no checkpoint, its rows equal
+    the serial rows, and the report accounts for every serial
+    simulation it executed."""
+    from repro.sim.state import MachineCheckpoint
+    from repro.workloads.base import Workload
+
+    base = [("num_threads", 4), ("seed", 7), ("scale", 0.05)]
+    points = [GridPoint("histogram", tuple([("d_distance", 0)] + base))]
+    points += [GridPoint("histogram", tuple([("d_distance", d),
+                                             ("gi_timeout", gi)] + base))
+               for d in (2, 8) for gi in (256, 1024)]
+    serial = run_grid(points)
+
+    captures, sims = [], []
+    capture, run = MachineCheckpoint.capture, Workload.run
+
+    def counting_capture(cls, machine):
+        captures.append(machine)
+        return capture(machine)
+
+    def counting_run(self, cfg, *args, **kwargs):
+        sims.append(self.name)
+        return run(self, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(MachineCheckpoint, "capture",
+                        classmethod(counting_capture))
+    monkeypatch.setattr(Workload, "run", counting_run)
+    report = BatchReport()
+    batch = batch_fan_out(points, report=report)
+    assert captures == []
+    assert batch == serial
+    assert (report.reps + report.verified + report.serial
+            + report.degraded) == len(sims)
+
+
 class TestGroupKey:
     def test_swept_knobs_do_not_split_groups(self):
         a = GridPoint("histogram", (("d_distance", 2), ("gi_timeout", 64),

@@ -45,13 +45,12 @@ def _factory(cid: int, rounds: int = 24, salt: int = 0):
 
 
 def _scripted_machine(num_cores: int = 2, *, period: int | None = 64,
-                      growth: int = 0, rounds: int = 24, salt: int = 0,
+                      rounds: int = 24, salt: int = 0,
                       protocol: str = "mesi", enabled: bool = True,
                       max_keep: int | None = None) -> Machine:
     m = build_machine(num_cores, protocol=protocol, enabled=enabled)
     if period is not None:
-        m.checkpoint_recorder = CheckpointRecorder(period, growth=growth,
-                                                   max_keep=max_keep)
+        m.checkpoint_recorder = CheckpointRecorder(period, max_keep=max_keep)
     # a per-machine program cache keeps the cores in recorder/compiled
     # mode — the snapshotable program forms (a bare generator is not)
     cache = ProgramCache()
@@ -170,16 +169,6 @@ class TestSafePoints:
 
 
 class TestRecorder:
-    def test_latest_before_is_strict(self):
-        rec = CheckpointRecorder(10)
-        for cyc in (10, 20, 30):
-            rec.checkpoints.append(
-                MachineCheckpoint(cycle=cyc, fingerprint="x", blob={}))
-        assert rec.latest_before(25).cycle == 20
-        assert rec.latest_before(20).cycle == 10
-        assert rec.latest_before(10) is None
-        assert rec.latest().cycle == 30
-
     def test_max_keep_evicts_oldest(self):
         m = _scripted_machine(2, period=32, max_keep=2)
         m.run()
@@ -188,22 +177,11 @@ class TestRecorder:
         cycles = [c.cycle for c in rec.checkpoints]
         assert cycles == sorted(cycles)
 
-    def test_growth_widens_the_window(self):
-        m = _scripted_machine(2, period=16, growth=4, rounds=64)
-        end = m.run()
-        rec = m.checkpoint_recorder
-        assert end > 16 * 4  # long enough for the window to adapt
-        assert rec.period > 16  # adapted upward as the run got longer
-        # the window tracks the clock at the *last capture*
-        assert rec.period == max(16, rec.latest().cycle // 4)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CheckpointRecorder(0)
         with pytest.raises(ValueError):
             CheckpointRecorder(10, max_keep=0)
-        with pytest.raises(ValueError):
-            CheckpointRecorder(10, growth=-1)
 
     def test_chunked_drain_matches_plain_run(self):
         """The recorder's windowed drain must not perturb the sim: same

@@ -27,14 +27,12 @@ self-invalidate     MESI    yes    yes    demote to GI        invalidate
 update-hybrid       MESI    yes    yes    invalidate          update
 ==================  ======  =====  =====  ==================  ========
 
-The legacy ``SimConfig`` encoding — ``protocol in ("mesi", "moesi")``
-plus the ``ghostwriter.enabled`` boolean — maps onto this registry via
-:func:`resolve_policy`, which keeps old configs running (with a
-``DeprecationWarning``) while new code names the protocol directly.
+A ``SimConfig`` names its protocol directly; :func:`resolve_policy`
+combines that name with the ``ghostwriter.enabled`` switch, which strips
+the approximate states for the precise baseline legs.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -170,31 +168,12 @@ def available_protocols() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-#: Legacy ``SimConfig.protocol`` values that, combined with
-#: ``ghostwriter.enabled=True``, historically meant "that base *plus*
-#: the Ghostwriter extension".
-_LEGACY_APPROX = {"mesi": "ghostwriter", "moesi": "ghostwriter-moesi"}
-
-
 def resolve_policy(protocol: str, approx_enabled: bool = True) -> ProtocolPolicy:
     """Map a ``SimConfig`` (protocol name, ghostwriter.enabled) pair to
-    the effective policy.
-
-    The legacy encoding — ``protocol="mesi"``/``"moesi"`` with
-    ``enabled=True`` — resolves to the matching Ghostwriter variant with
-    a :class:`DeprecationWarning` (name the protocol directly instead).
-    ``approx_enabled=False`` strips GS/GI from any variant, which is how
-    the sweep harness runs each protocol's precise baseline leg.
+    the effective policy: the registered ``protocol``, with GS/GI
+    stripped when ``approx_enabled`` is off — which is how the sweep
+    harness runs each protocol's precise baseline leg.
     """
-    legacy = _LEGACY_APPROX.get(protocol)
-    if approx_enabled and legacy is not None:
-        warnings.warn(
-            f"protocol={protocol!r} with ghostwriter.enabled=True is the "
-            f"legacy spelling of protocol={legacy!r}; name the protocol "
-            "directly (SimConfig.protocol / --protocol)",
-            DeprecationWarning, stacklevel=3,
-        )
-        protocol = legacy
     policy = get_protocol(protocol)
     return policy if approx_enabled else policy.precise()
 

@@ -8,7 +8,6 @@ are `dataclasses.replace` calls.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator
 
@@ -141,38 +140,6 @@ class NocConfig:
         """The (memoized) topology object — the route/latency model."""
         from repro.noc.topologies import build_topology
         return build_topology(self)
-
-    def corner_nodes(self) -> tuple[int, ...]:
-        """Deprecated: the four mesh-corner node ids.  Directory
-        placement is topology-defined now
-        (``Topology.default_directory_nodes``)."""
-        warnings.warn(
-            "NocConfig.corner_nodes is deprecated; directory placement "
-            "is topology-defined (see repro.noc.topologies."
-            "Topology.default_directory_nodes)",
-            DeprecationWarning, stacklevel=2,
-        )
-        c, r = self.mesh_cols, self.mesh_rows
-        corners = {0, c - 1, c * (r - 1), c * r - 1}
-        return tuple(sorted(corners))
-
-    def coords(self, node: int) -> tuple[int, int]:
-        """Deprecated shim: use ``NocConfig.topo.coords``."""
-        warnings.warn(
-            "NocConfig.coords is deprecated; use NocConfig.topo.coords "
-            "(see repro.noc.topologies)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.topo.coords(node)
-
-    def hops(self, src: int, dst: int) -> int:
-        """Deprecated shim: use ``NocConfig.topo.hops``."""
-        warnings.warn(
-            "NocConfig.hops is deprecated; use NocConfig.topo.hops "
-            "(see repro.noc.topologies)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.topo.hops(src, dst)
 
     def flits(self, payload_bytes: int) -> int:
         """Number of flits for a message of the given payload size."""
@@ -418,13 +385,10 @@ class SimConfig:
     #: :mod:`repro.coherence.policy`): "ghostwriter" (the paper's full
     #: protocol, the default), "mesi"/"moesi" (precise baselines), the
     #: "gw-gs-only"/"gw-gi-only" ablations, "ghostwriter-moesi", and the
-    #: non-paper "self-invalidate"/"update-hybrid" variants.  The legacy
-    #: spelling — "mesi"/"moesi" with ``ghostwriter.enabled=True`` —
-    #: still resolves to the matching Ghostwriter variant, with a
-    #: DeprecationWarning; ``ghostwriter.enabled=False`` strips the
-    #: approximate states from any variant (the d-distance-0 baseline
-    #: legs), so the default here is behavior-identical to the historic
-    #: ``protocol="mesi"`` + ``enabled`` encoding.
+    #: non-paper "self-invalidate"/"update-hybrid" variants.  A name
+    #: means exactly its registry entry; ``ghostwriter.enabled=False``
+    #: strips the approximate states from any variant (the
+    #: d-distance-0 baseline legs).
     protocol: str = "ghostwriter"
     #: Directory state lookup/update occupancy per transaction, in
     #: cycles.  Serializes same-block transactions at the home, which is
@@ -487,10 +451,8 @@ class SimConfig:
     def policy(self):
         """The effective :class:`~repro.coherence.policy.ProtocolPolicy`
         — the named protocol, with the approximate states stripped when
-        ``ghostwriter.enabled`` is off (and with the legacy
-        mesi/moesi-plus-enabled spelling resolved, warning once per
-        lookup).  ``Machine`` resolves this once at construction and
-        hands the policy down to every controller."""
+        ``ghostwriter.enabled`` is off.  ``Machine`` resolves this once
+        at construction and hands the policy down to every controller."""
         from repro.coherence.policy import resolve_policy
         return resolve_policy(self.protocol, self.ghostwriter.enabled)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.harness.options import RunOptions, resolve_options
+from repro.harness.options import RunOptions
 from repro.harness.parallel import GridFailure, GridPoint, run_grid
 from repro.workloads.registry import ALL_WORKLOADS, PAPER_WORKLOADS
 
@@ -88,8 +88,7 @@ def fault_sweep(workload: str = "histogram", *,
                 rates: tuple[float, ...] = DEFAULT_RATES,
                 seeds_per_cell: int = 1,
                 seed: int = 12345,
-                options: RunOptions | None = None,
-                jobs: int | None = None) -> FaultSweepResult:
+                options: RunOptions | None = None) -> FaultSweepResult:
     """Run the full (rate x config x fault-seed) grid and average over
     fault seeds.
 
@@ -100,16 +99,16 @@ def fault_sweep(workload: str = "histogram", *,
     process pool (:mod:`repro.harness.parallel`); a run killed by
     control-data corruption comes back as a
     :class:`~repro.harness.parallel.GridFailure` and is tallied as a
-    crash, exactly as in the serial path.  The bare ``jobs`` keyword is a
-    deprecated shim; the per-cell fault rate/seed/policy always override
-    the corresponding ``options`` fields.
+    crash, exactly as in the serial path.  The per-cell fault
+    rate/seed/policy always override the corresponding ``options``
+    fields.
     """
     if workload not in ALL_WORKLOADS:
         raise KeyError(
             f"unknown workload {workload!r}; available: "
             f"{sorted(ALL_WORKLOADS)}"
         )
-    base = resolve_options(options, who="fault_sweep", jobs=jobs)
+    base = options if options is not None else RunOptions()
     cls = PAPER_WORKLOADS.get(workload)
     metric = cls.error_metric if cls is not None else "error"
     grid = [

@@ -1,10 +1,11 @@
 """repro.harness subpackage.
 
 The one public import most callers need is :class:`RunOptions` — the
-consolidated run-configuration value accepted by ``experiment_config``,
+consolidated run-configuration value.  ``experiment_config``,
 ``run_workload``, ``run_pair``, ``SweepCache``, ``faults.sweep`` and the
-figures CLI.
+figures CLI take it as their single ``options`` argument; there are no
+per-knob keyword spellings.
 """
-from repro.harness.options import RunOptions, resolve_options
+from repro.harness.options import RunOptions
 
-__all__ = ["RunOptions", "resolve_options"]
+__all__ = ["RunOptions"]

@@ -19,8 +19,8 @@ argument) degrades the *whole* share set to serial execution, so the
 backend can mispredict performance but never results.
 
 Points that cannot be grouped — no integer ``d_distance``, tracing
-enabled (obs captures are run-local), deprecated shim kwargs,
-unhashable extras — simply run serially, as do singleton groups.
+enabled (obs captures are run-local), unhashable extras — simply run
+serially, as do singleton groups.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from repro.harness.experiment import (
     DEFAULT_THREADS, experiment_config, row_from_result, run_workload_result,
 )
-from repro.harness.options import LEGACY_KWARGS
 from repro.harness.parallel import (
     _NO_RETRY, GridFailure, GridPoint, RetryPolicy, _attempt_serial,
     _failure_from, _run_point, _traceback_tail,
@@ -43,11 +42,6 @@ __all__ = ["BatchReport", "batch_fan_out", "group_key",
 #: shared lanes per share event that re-run serially as an end-to-end
 #: cross-check of the sharing proof (0 disables the backstop)
 VERIFY_SHARED_SAMPLE = 1
-
-#: deprecated run_workload shim kwargs: points still using them are not
-#: worth teaching the batch path about — they fall back to serial.
-#: Derived from the one shim table in :mod:`repro.harness.options`.
-_SHIM_KWARGS = frozenset(LEGACY_KWARGS)
 
 
 @dataclass
@@ -84,8 +78,6 @@ def group_key(point: GridPoint):
         return None
     gi = kwargs.get("gi_timeout", 1024)
     if not isinstance(gi, int) or isinstance(gi, bool):
-        return None
-    if _SHIM_KWARGS & kwargs.keys():
         return None
     options = kwargs.get("options")
     if options is not None and getattr(options, "tracing", False):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from repro.common.config import SimConfig, default_config, noc_for_topology
 from repro.common.types import MessageClass
 from repro.energy.accounting import EnergyAccountant, EnergyReport
-from repro.harness.options import RunOptions, resolve_options
+from repro.harness.options import RunOptions
 from repro.obs.capture import ObsCapture
 from repro.workloads.base import WorkloadResult
 from repro.workloads.registry import create
@@ -39,20 +39,15 @@ def experiment_config(*, enabled: bool, d_distance: int = 4,
                       num_cores: int = DEFAULT_THREADS,
                       protocol: str | None = None,
                       topology: str | None = None,
-                      options: RunOptions | None = None,
-                      check_invariants: bool | None = None,
-                      fault_rate: float | None = None,
-                      fault_seed: int | None = None,
-                      fault_policy: str | None = None) -> SimConfig:
+                      options: RunOptions | None = None) -> SimConfig:
     """The scaled experiment machine (see module docstring).
 
     Run-shaping knobs — invariant checking, fault injection, event
     tracing, the coherence ``protocol``, the NoC ``topology`` — come in
-    through ``options`` (:class:`RunOptions`); the individual
-    ``check_invariants``/``fault_*`` keywords are deprecated shims.  An
-    explicit ``protocol``/``topology`` argument overrides the matching
-    ``options`` field (legacy base-protocol spellings like ``"moesi"``
-    still resolve through the registry shim, which warns).  The default
+    through ``options`` (:class:`RunOptions`).  An explicit
+    ``protocol``/``topology`` argument overrides the matching
+    ``options`` field; a protocol name means exactly its registry entry,
+    and ``enabled=False`` strips its approximate states.  The default
     mesh at paper core counts is Table 1's machine exactly; a
     non-default topology — or more cores than the 6x4 mesh holds —
     rebuilds the NoC through
@@ -61,11 +56,7 @@ def experiment_config(*, enabled: bool, d_distance: int = 4,
     ``WATCHDOG_INTERVAL`` cycles with a diagnostic dump instead of
     spinning to ``max_cycles``.
     """
-    opts = resolve_options(
-        options, who="experiment_config", check_invariants=check_invariants,
-        fault_rate=fault_rate, fault_seed=fault_seed,
-        fault_policy=fault_policy,
-    )
+    opts = options if options is not None else RunOptions()
     if protocol is None:
         protocol = opts.protocol
     if topology is None:
@@ -205,29 +196,20 @@ def run_workload(name: str, *, d_distance: int,
                  gi_timeout: int = 1024, protocol: str | None = None,
                  topology: str | None = None,
                  options: RunOptions | None = None,
-                 check_invariants: bool | None = None,
-                 fault_rate: float | None = None,
-                 fault_seed: int | None = None,
-                 fault_policy: str | None = None,
                  **workload_kwargs) -> RunRow:
     """Run one workload once.  ``d_distance=0`` disables approximation.
 
     The coherence protocol comes from ``options.protocol`` unless the
     ``protocol`` keyword overrides it.  ``options`` also carries the
-    other run-shaping knobs (:class:`RunOptions`); the
-    individual ``check_invariants``/``fault_*`` keywords are deprecated
-    shims.  When the options enable tracing, the returned row's ``obs``
-    field holds the run's :class:`~repro.obs.capture.ObsCapture`.
+    other run-shaping knobs (:class:`RunOptions`); any other keyword is
+    a workload parameter.  When the options enable tracing, the returned
+    row's ``obs`` field holds the run's
+    :class:`~repro.obs.capture.ObsCapture`.
     """
-    opts = resolve_options(
-        options, who="run_workload", check_invariants=check_invariants,
-        fault_rate=fault_rate, fault_seed=fault_seed,
-        fault_policy=fault_policy,
-    )
     result, cfg = run_workload_result(
         name, d_distance=d_distance, num_threads=num_threads, scale=scale,
         seed=seed, gi_timeout=gi_timeout, protocol=protocol,
-        topology=topology, options=opts, **workload_kwargs,
+        topology=topology, options=options, **workload_kwargs,
     )
     return _row_from_result(name, d_distance, result, cfg)
 
@@ -261,16 +243,16 @@ def run_pair(name: str, *, d_distance: int,
              num_threads: int = DEFAULT_THREADS,
              scale: float = DEFAULT_SCALE, seed: int = 12345,
              options: RunOptions | None = None,
-             jobs: int | None = None, **kwargs) -> tuple[RunRow, RunRow]:
+             **kwargs) -> tuple[RunRow, RunRow]:
     """(baseline, ghostwriter) rows for one workload and d setting.
 
     ``options.jobs >= 2`` runs the two legs concurrently via the parallel
     executor (:mod:`repro.harness.parallel`); the rows are bit-identical
     to the serial path either way.  ``options.store`` makes both legs
     durable: committed legs are served from the result store instead of
-    re-running.  The bare ``jobs`` keyword is a deprecated shim.
+    re-running.
     """
-    opts = resolve_options(options, who="run_pair", jobs=jobs)
+    opts = options if options is not None else RunOptions()
     if opts.jobs > 1 or opts.store:
         # local import: parallel builds on this module's run_workload
         from repro.harness.parallel import GridFailure, GridPoint, run_grid

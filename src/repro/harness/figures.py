@@ -19,7 +19,7 @@ from repro.common.types import MessageClass
 from repro.harness.experiment import (
     DEFAULT_SCALE, DEFAULT_THREADS, RunRow, experiment_config, run_workload,
 )
-from repro.harness.options import RunOptions, resolve_options
+from repro.harness.options import RunOptions
 from repro.workloads.base import WorkloadResult
 from repro.workloads.registry import PAPER_WORKLOADS, create, table2_rows
 
@@ -51,9 +51,9 @@ def _fmt_table(headers: list[str], rows: list[list[str]]) -> str:
 class SweepCache:
     """Memoized (app, d) -> RunRow over the main evaluation sweep.
 
-    ``jobs > 1`` makes :meth:`prefetch` fan the uncached grid points out
-    over a process pool (:mod:`repro.harness.parallel`); the cached rows
-    are bit-identical to serial runs.
+    ``options.jobs > 1`` makes :meth:`prefetch` fan the uncached grid
+    points out over a process pool (:mod:`repro.harness.parallel`); the
+    cached rows are bit-identical to serial runs.
 
     ``options.store`` makes the sweep *durable*: every completed row
     commits to a content-addressed result store
@@ -66,18 +66,11 @@ class SweepCache:
     def __init__(self, num_threads: int = DEFAULT_THREADS,
                  scale: float = DEFAULT_SCALE, seed: int = 12345,
                  protocol: str | None = None,
-                 options: RunOptions | None = None,
-                 check_invariants: bool | None = None,
-                 fault_rate: float | None = None,
-                 fault_seed: int | None = None,
-                 jobs: int | None = None) -> None:
+                 options: RunOptions | None = None) -> None:
         self.num_threads = num_threads
         self.scale = scale
         self.seed = seed
-        opts = resolve_options(
-            options, who="SweepCache", check_invariants=check_invariants,
-            fault_rate=fault_rate, fault_seed=fault_seed, jobs=jobs,
-        )
+        opts = options if options is not None else RunOptions()
         self.protocol = protocol if protocol is not None else opts.protocol
         if opts.fault_rate:
             # faulty sweeps log-and-continue so every row completes
@@ -85,27 +78,6 @@ class SweepCache:
         self.options = opts
         self._rows: dict[tuple[str, int], RunRow] = {}
         self._store = None      # lazily opened ResultStore handle
-
-    # -- legacy read-only views (pre-RunOptions attribute names) -------
-    @property
-    def jobs(self) -> int:
-        """Worker processes used by :meth:`prefetch`."""
-        return self.options.jobs
-
-    @property
-    def check_invariants(self) -> bool:
-        """End-of-run invariant checking (see :class:`RunOptions`)."""
-        return self.options.check_invariants
-
-    @property
-    def fault_rate(self) -> float:
-        """Cache fault rate (see :class:`RunOptions`)."""
-        return self.options.fault_rate
-
-    @property
-    def fault_seed(self) -> int:
-        """Fault-injector seed (see :class:`RunOptions`)."""
-        return self.options.fault_seed
 
     def _run_kwargs(self, app: str, d: int) -> dict:
         return dict(
@@ -150,7 +122,7 @@ class SweepCache:
         With a configured result store every completed point commits as
         it lands, so a killed prefetch resumes from the committed rows.
         """
-        jobs = self.jobs if jobs is None else jobs
+        jobs = self.options.jobs if jobs is None else jobs
         keys = [(app, d) for app in (apps or _APPS) for d in ds
                 if (app, d) not in self._rows]
         if (jobs > 1 or self.options.store) and len(keys) > 1:

@@ -1,39 +1,22 @@
 """One value object for every run-shaping knob the harness accepts.
 
-PR 1 and PR 2 threaded ``check_invariants``/``fault_rate``/``fault_seed``/
-``fault_policy``/``jobs`` by hand through every harness entry point, and
-the observability layer would have added three more.  :class:`RunOptions`
-consolidates them: ``experiment_config``, ``run_workload``, ``run_pair``,
-``SweepCache``, ``faults.sweep`` and the CLI all take one frozen options
-value.  The old keyword signatures still work through
-:func:`resolve_options`, which emits a :class:`DeprecationWarning` naming
-the caller and the legacy keys.
+Invariant checking, fault injection, worker count, tracing, protocol,
+topology, durability and backend selection all travel as one frozen
+:class:`RunOptions` value: ``experiment_config``, ``run_workload``,
+``run_pair``, ``SweepCache``, ``faults.sweep`` and the CLI each take it
+as their single ``options`` argument.
 """
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
 from repro.common.config import FaultConfig, ObsConfig, VerifyConfig
 
-__all__ = ["RunOptions", "resolve_options", "LEGACY_KWARGS"]
+__all__ = ["RunOptions"]
 
 _POLICIES = ("abort", "log", "recover")
-
-#: The pre-PR 3 keyword spellings the harness entry points still accept,
-#: mapped to the :class:`RunOptions` field that replaced each one.  This
-#: is THE shim table: :func:`resolve_options` validates against it and
-#: quotes the new spelling in its warning, and the batch backend's
-#: serial-fallback set (``repro.harness.batch``) derives from it.
-LEGACY_KWARGS = {
-    "check_invariants": "RunOptions.check_invariants",
-    "fault_rate": "RunOptions.fault_rate",
-    "fault_seed": "RunOptions.fault_seed",
-    "fault_policy": "RunOptions.fault_policy",
-    "jobs": "RunOptions.jobs",
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,32 +147,3 @@ class RunOptions:
                          timeline_interval=self.timeline_interval,
                          flight_recorder=self.flight_recorder)
 
-
-def resolve_options(options: RunOptions | None = None, *, who: str,
-                    **legacy: Any) -> RunOptions:
-    """Merge an options value with legacy keyword arguments.
-
-    ``legacy`` holds the caller's old-style kwargs, each ``None`` when
-    not supplied.  Passing any non-``None`` legacy kwarg emits one
-    :class:`DeprecationWarning` naming ``who`` and the keys; the values
-    override the corresponding ``options`` fields (so mixed calls keep
-    their historical meaning during migration).
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if supplied:
-        unknown = sorted(set(supplied) - set(LEGACY_KWARGS))
-        if unknown:
-            raise TypeError(
-                f"{who}: unexpected legacy keyword(s) {unknown}; the shim "
-                f"only spells {sorted(LEGACY_KWARGS)}"
-            )
-        renames = ", ".join(
-            f"{k} (use {LEGACY_KWARGS[k]})" for k in sorted(supplied)
-        )
-        warnings.warn(
-            f"{who}: keyword(s) {renames} are deprecated; pass "
-            "repro.harness.RunOptions instead",
-            DeprecationWarning, stacklevel=3,
-        )
-    base = options if options is not None else RunOptions()
-    return dataclasses.replace(base, **supplied) if supplied else base

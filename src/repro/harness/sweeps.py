@@ -170,8 +170,8 @@ def sweep_protocols(workload: str = "bad_dot_product",
     """One run per registered protocol variant on the same workload.
 
     Approximation-capable variants run at ``d_distance``; precise
-    variants run at ``d=0`` (their policy has no GS/GI to parameterize,
-    and ``d>0`` would re-enter the legacy base-protocol spelling).
+    variants run at ``d=0``: their policy has no GS/GI to parameterize,
+    so their row carries the baseline's ``d_distance`` label.
     """
     from repro.coherence.policy import available_protocols, get_protocol
 

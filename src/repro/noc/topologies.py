@@ -7,8 +7,7 @@ Four topologies ship:
 
 ``mesh``
     The paper's 2D mesh with dimension-ordered (X-then-Y) routing —
-    byte-identical to the arithmetic that used to live on
-    ``NocConfig.coords``/``hops`` and ``repro.noc.topology.xy_route``,
+    byte-identical to the simulator's original mesh arithmetic,
     including the ``hops + 1`` router-traversal count the DSENT-style
     energy model charges.
 ``ring``

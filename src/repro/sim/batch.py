@@ -47,7 +47,7 @@ The grid-level orchestration (grouping ``run_grid`` points, building
 ``RunRow``s, the trust-but-verify serial sample) lives in
 :mod:`repro.harness.batch`; this module is the generic engine, also
 driven directly by the fuzzer's batch differential
-(:func:`repro.verify.fuzz.run_trace_batch`).
+(:func:`repro.verify.fuzz.run_differential` with ``backend="batch"``).
 """
 from __future__ import annotations
 

@@ -70,8 +70,8 @@ class Machine:
 
     def __init__(self, cfg: SimConfig) -> None:
         self.cfg = cfg
-        # resolve the protocol policy exactly once (the legacy-spelling
-        # shim warns per resolution) and inject it into every controller
+        # resolve the protocol policy exactly once and inject it into
+        # every controller
         self.policy = cfg.policy
         self.engine = Engine()
         self.stats = StatGroup("")

@@ -25,9 +25,12 @@ __all__ = ["CODE_VERSION", "KEY_SCHEMA", "EXECUTION_FIELDS",
            "point_key"]
 
 #: Revision of the key construction itself.  Bump when the
-#: canonicalization below changes shape, so old stores never serve rows
-#: under a differently-built key.
-KEY_SCHEMA = 1
+#: canonicalization below changes shape — or when the same key starts
+#: naming a different simulation — so old stores never serve rows
+#: under a differently-built key.  Schema 2: ``protocol="mesi"``/
+#: ``"moesi"`` at ``d>0`` is the precise base, where schema 1 rows hold
+#: Ghostwriter results for those keys.
+KEY_SCHEMA = 2
 
 #: Version tag stored with (and hashed into) every row.  Derived from
 #: the package version plus :data:`KEY_SCHEMA`; bumping either retires

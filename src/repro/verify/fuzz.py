@@ -19,14 +19,18 @@ armed, then checks:
   memory; with Ghostwriter on, dropped scribbles legally resurface older
   values, so only provenance applies).
 
-:func:`run_matrix` sweeps seeds across the registered protocol variants
-(precise bases plus every approximation-capable policy, each with the
-approximation switch honored); :func:`minimize_trace` is a
-deterministic ddmin-style shrinker
-for failing traces; :func:`load_corpus_trace`/:func:`save_corpus_trace`
-round-trip shrunk traces through ``tests/verify/corpus/`` for regression
-replay.  ``python -m repro.verify.fuzz --seeds 200`` runs the sweep from
-the command line.
+:func:`run_differential` runs a trace on one execution backend —
+``"serial"`` (:func:`run_trace` alone, the oracle), ``"batch"`` (the
+lockstep lane-sharing proof of :mod:`repro.sim.batch`) or
+``"fastlane"`` (the hit-run lane of :mod:`repro.core.hitrun`) — and
+demands bit-identity with the path that backend replaces.
+:func:`run_matrix` sweeps seeds across :data:`PROTOCOL_MATRIX`, one
+``run_differential`` call per entry; :func:`minimize_trace` is a
+deterministic ddmin-style shrinker for failing traces, and
+:func:`load_corpus_trace`/:func:`save_corpus_trace` round-trip shrunk
+traces through ``tests/verify/corpus/`` for regression replay.
+``python -m repro.verify.fuzz --seeds 200`` runs the sweep from the
+command line.
 """
 from __future__ import annotations
 
@@ -35,7 +39,9 @@ import random
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
-from repro.common.config import FaultConfig, VerifyConfig, small_config
+from repro.common.config import (
+    FaultConfig, SimConfig, VerifyConfig, small_config,
+)
 from repro.isa.instructions import (
     Compute, FlushApprox, Load, Scribble, SetAprx, Store,
 )
@@ -43,38 +49,30 @@ from repro.sim.machine import Machine
 
 __all__ = [
     "FuzzTrace", "FuzzFailure", "approx_drops",
-    "generate_trace", "run_trace", "run_trace_batch",
-    "run_trace_fastlane", "run_matrix",
+    "generate_trace", "run_trace", "run_differential", "run_matrix",
     "minimize_trace", "save_corpus_trace", "load_corpus_trace", "main",
     "PROTOCOL_MATRIX", "BATCH_LANE_DS",
 ]
 
-#: the protocol configurations every trace is exercised under: both
-#: precise bases, every approximation-capable registry variant, one
-#: approximation-stripped variant (update-hybrid keeps its write-update
-#: mechanism even with approximation off), and two batch-backend
-#: differentials (:func:`run_trace_batch`) exercising the lockstep
-#: lane-sharing proof of :mod:`repro.sim.batch`.  Entries are
-#: ``(protocol, gw)`` or ``(protocol, gw, backend)``; a missing backend
-#: means ``"serial"``.
-PROTOCOL_MATRIX: tuple[tuple, ...] = (
-    ("mesi", False), ("ghostwriter", True),
-    ("moesi", False), ("ghostwriter-moesi", True),
-    ("gw-gs-only", True), ("gw-gi-only", True),
-    ("self-invalidate", True),
-    ("update-hybrid", True), ("update-hybrid", False),
+#: the configurations every trace is exercised under, as ``(protocol,
+#: gw, backend)``: both precise bases, every approximation-capable
+#: registry variant, one approximation-stripped variant (update-hybrid
+#: keeps its write-update mechanism even with approximation off), two
+#: batch differentials exercising the lockstep lane-sharing proof of
+#: :mod:`repro.sim.batch`, and two hit-run fast-lane differentials
+#: (every trace replayed compiled, lane-on vs lane-off).  See
+#: :func:`run_differential` for what each backend checks.
+PROTOCOL_MATRIX: tuple[tuple[str, bool, str], ...] = (
+    ("mesi", False, "serial"), ("ghostwriter", True, "serial"),
+    ("moesi", False, "serial"), ("ghostwriter-moesi", True, "serial"),
+    ("gw-gs-only", True, "serial"), ("gw-gi-only", True, "serial"),
+    ("self-invalidate", True, "serial"),
+    ("update-hybrid", True, "serial"), ("update-hybrid", False, "serial"),
     ("ghostwriter", True, "batch"),
     ("gw-gi-only", True, "batch"),
-    # hit-run fast-lane differentials (:func:`run_trace_fastlane`):
-    # every trace replayed compiled, lane-on vs lane-off, must be
-    # bit-identical in fingerprint and engine accounting
     ("ghostwriter", True, "fastlane"),
     ("mesi", False, "fastlane"),
 )
-
-#: legacy (base, gw=True) spellings still accepted by :func:`run_trace`;
-#: translated here so old callers don't trip the config-layer shim
-_LEGACY_GW = {"mesi": "ghostwriter", "moesi": "ghostwriter-moesi"}
 
 _BASE = 0x8000
 _WORDS_PER_BLOCK = 16
@@ -84,6 +82,8 @@ _WORDS_PER_BLOCK = 16
 #: words never are
 _FUZZ_D = 10
 _FAR_BIT = 1 << 30
+#: cycle budget of one fuzz machine run
+_MAX_CYCLES = 2_000_000
 
 _OP_WEIGHTS = (
     ("load", 32), ("store", 24), ("scribble", 24), ("scribble_far", 8),
@@ -185,29 +185,49 @@ def generate_trace(seed: int, *, num_cores: int = 3, ops_per_core: int = 24,
 # ---------------------------------------------------------------------
 # execution + oracles
 # ---------------------------------------------------------------------
-def run_trace(trace: FuzzTrace, *, protocol: str = "mesi", gw: bool = True,
-              jitter: int = 0, monitor_period: int = 64,
-              max_cycles: int = 2_000_000) -> Machine:
-    """Execute one trace under one protocol configuration and apply every
-    oracle; raises :class:`FuzzFailure` on any violation.  Returns the
-    finished machine for further inspection."""
-    label = (
-        f"seed={trace.seed} protocol={protocol} gw={gw} jitter={jitter}"
-    )
-    if gw:
-        protocol = _LEGACY_GW.get(protocol, protocol)
+def _trace_config(trace: FuzzTrace, *, protocol: str, gw: bool,
+                  jitter: int, monitor_period: int,
+                  core_quantum: int) -> SimConfig:
+    """The small machine every backend runs a trace on."""
     cfg = small_config(
         num_cores=max(2, trace.num_cores), enabled=gw,
-        d_distance=trace.d_distance, gi_timeout=256, core_quantum=1,
+        d_distance=trace.d_distance, gi_timeout=256,
+        core_quantum=core_quantum,
     )
-    cfg = dc_replace(
+    return dc_replace(
         cfg,
         protocol=protocol,
         verify=VerifyConfig(monitor_period=monitor_period,
                             watchdog_interval=50_000),
         faults=FaultConfig(delay_jitter=jitter, seed=trace.seed or 1),
     )
-    m = Machine(cfg)
+
+
+def _run_checked(m: Machine, label: str, max_cycles: int) -> None:
+    """Run to completion and check quiescence + coherence invariants,
+    wrapping any failure in a :class:`FuzzFailure` naming ``label``."""
+    try:
+        m.run(max_cycles=max_cycles)
+        m.check_quiescent()
+        m.check_coherence_invariants()
+    except FuzzFailure:
+        raise
+    except Exception as exc:
+        raise FuzzFailure(f"[{label}] {type(exc).__name__}: {exc}") from exc
+
+
+def run_trace(trace: FuzzTrace, *, protocol: str = "ghostwriter",
+              gw: bool = True, jitter: int = 0, monitor_period: int = 64,
+              max_cycles: int = _MAX_CYCLES) -> Machine:
+    """Execute one trace under one protocol configuration and apply every
+    oracle; raises :class:`FuzzFailure` on any violation.  Returns the
+    finished machine for further inspection."""
+    label = (
+        f"seed={trace.seed} protocol={protocol} gw={gw} jitter={jitter}"
+    )
+    m = Machine(_trace_config(trace, protocol=protocol, gw=gw,
+                              jitter=jitter, monitor_period=monitor_period,
+                              core_quantum=1))
 
     written: dict[int, set[int]] = {}
     last_write: dict[int, dict[int, int]] = {}  # addr -> {tid: last value}
@@ -238,15 +258,7 @@ def run_trace(trace: FuzzTrace, *, protocol: str = "mesi", gw: bool = True,
 
     for tid, core_ops in enumerate(trace.ops):
         m.add_thread(tid, program(tid, core_ops))
-
-    try:
-        m.run(max_cycles=max_cycles)
-        m.check_quiescent()
-        m.check_coherence_invariants()
-    except FuzzFailure:
-        raise
-    except Exception as exc:
-        raise FuzzFailure(f"[{label}] {type(exc).__name__}: {exc}") from exc
+    _run_checked(m, label, max_cycles)
 
     # load provenance: every observed value was initial (0) or stored
     for tid, addr, value in loads:
@@ -294,60 +306,12 @@ def _machine_fingerprint(machine: Machine) -> dict:
     return fingerprint_payload(machine)
 
 
-def run_trace_batch(trace: FuzzTrace, *, protocol: str = "ghostwriter",
-                    gw: bool = True, jitter: int = 0,
-                    monitor_period: int = 64, max_cycles: int = 2_000_000,
-                    lane_ds=BATCH_LANE_DS) -> dict[str, int]:
-    """Differential oracle for the lockstep lane-sharing proof of
-    :mod:`repro.sim.batch`.
-
-    Runs the trace once as a *representative* with the scribe decision
-    probe armed, then for every alternative d-distance in ``lane_ds``
-    asks the :class:`~repro.sim.batch.DecisionTrace` whether that lane
-    would share.  Each lane predicted to share is re-run serially (a
-    never-batched ground-truth run, itself passing :func:`run_trace`'s
-    oracles) and must be **bit-identical** to the representative in
-    every counter, every backing word, and every cache line
-    (:func:`_machine_fingerprint`); any difference is a
-    :class:`FuzzFailure`.  Lanes predicted to peel are exactly the
-    lanes the batch backend runs through the ordinary interpreter, so
-    there is nothing to verify for them.  Returns
-    ``{"shared": ..., "peeled": ..., "checks": ...}``.
-    """
-    from repro.sim.batch import DecisionTrace, probe_hook
-
-    label = f"seed={trace.seed} protocol={protocol} gw={gw} backend=batch"
-    records: list = []
-    with probe_hook(records):
-        rep = run_trace(trace, protocol=protocol, gw=gw, jitter=jitter,
-                        monitor_period=monitor_period,
-                        max_cycles=max_cycles)
-    dtrace = DecisionTrace(records, swept_d=trace.d_distance)
-    rep_print = None
-    shared = peeled = 0
-    for d in lane_ds:
-        if d == trace.d_distance:
-            continue
-        if not dtrace.agrees(d):
-            peeled += 1
-            continue
-        lane = run_trace(dc_replace(trace, d_distance=d),
-                         protocol=protocol, gw=gw, jitter=jitter,
-                         monitor_period=monitor_period,
-                         max_cycles=max_cycles)
-        shared += 1
-        if rep_print is None:
-            rep_print = _machine_fingerprint(rep)
-        lane_print = _machine_fingerprint(lane)
-        if lane_print != rep_print:
-            diff = [k for k in rep_print
-                    if lane_print[k] != rep_print[k]]
-            raise FuzzFailure(
-                f"[{label}] lane d={d} predicted to share with the "
-                f"d={trace.d_distance} representative but diverged "
-                f"in {', '.join(diff)} ({len(dtrace)} swept checks)"
-            )
-    return {"shared": shared, "peeled": peeled, "checks": len(dtrace)}
+def _assert_identical(label: str, what: str, ref: dict, got: dict) -> None:
+    """Raise a :class:`FuzzFailure` naming every fingerprint key on
+    which ``got`` differs from ``ref``."""
+    if got != ref:
+        diff = [k for k in ref if got[k] != ref[k]]
+        raise FuzzFailure(f"[{label}] {what} diverged in {', '.join(diff)}")
 
 
 def _lower_fuzz_core(ops, d_distance: int):
@@ -391,163 +355,154 @@ def _lower_fuzz_core(ops, d_distance: int):
     )
 
 
-def run_trace_fastlane(trace: FuzzTrace, *, protocol: str = "ghostwriter",
-                       gw: bool = True, jitter: int = 0,
-                       max_cycles: int = 2_000_000,
-                       min_run: int = 1) -> dict[str, int]:
-    """Differential oracle for the hit-run fast lane
-    (:mod:`repro.core.hitrun`).
+def run_differential(trace: FuzzTrace, *, protocol: str, gw: bool,
+                     backend: str, jitter: int = 0,
+                     lane_ds=BATCH_LANE_DS) -> dict[str, int]:
+    """Run one trace on one execution ``backend`` and demand that it
+    match the path it stands in for; raises :class:`FuzzFailure` on any
+    oracle violation or difference.
 
-    Lowers the trace to compiled programs (the only form the lane
-    executes) and runs it twice — ``fast_lane=True`` vs ``False`` — on
-    otherwise identical machines with the runtime monitor *disabled*
-    (its commit hook forces the scalar path, which would make the
-    differential vacuous) and ``MIN_RUN`` shrunk to ``min_run`` so even
-    short fuzz-length hit runs vectorize.  Both runs must pass the
-    quiescence/coherence invariants and be **bit-identical** in the
-    checkpoint fingerprint payload plus the engine's cycle/event
-    accounting; any difference is a :class:`FuzzFailure`.
+    ``"serial"``
+        :func:`run_trace` and its oracles — the reference the other
+        backends are compared against.  Returns ``{"ops": ...}``.
+    ``"batch"``
+        The lockstep lane-sharing proof of :mod:`repro.sim.batch`: the
+        trace runs once as a *representative* with the scribe decision
+        probe armed, then for every alternative d-distance in
+        ``lane_ds`` the :class:`~repro.sim.batch.DecisionTrace` predicts
+        whether that lane would share.  Each lane predicted to share is
+        re-run serially and must be **bit-identical** to the
+        representative in every counter, backing word and cache line
+        (:func:`_machine_fingerprint`).  Lanes predicted to peel are
+        exactly the lanes the batch backend runs through the ordinary
+        interpreter, so there is nothing to verify for them.  Returns
+        ``{"shared": ..., "peeled": ..., "checks": ...}``.
+    ``"fastlane"``
+        The hit-run fast lane (:mod:`repro.core.hitrun`): the trace is
+        lowered to compiled programs (the only form the lane executes)
+        and run ``fast_lane=True`` vs ``False`` with the runtime monitor
+        *disabled* (its commit hook forces the scalar path, which would
+        make the differential vacuous) and ``MIN_RUN`` shrunk to 1 so
+        even short hit runs vectorize.  Both runs must pass the
+        quiescence/coherence invariants and be bit-identical in the
+        fingerprint plus the engine's cycle/event accounting.  Returns
+        ``{"ops": ...}``.
     """
-    import repro.core.hitrun as hitrun
+    label = f"seed={trace.seed} protocol={protocol} gw={gw} backend={backend}"
+    if backend == "serial":
+        run_trace(trace, protocol=protocol, gw=gw, jitter=jitter)
+        return {"ops": trace.op_count()}
 
-    label = f"seed={trace.seed} protocol={protocol} gw={gw} backend=fastlane"
-    if gw:
-        protocol = _LEGACY_GW.get(protocol, protocol)
-    base = small_config(
-        num_cores=max(2, trace.num_cores), enabled=gw,
-        d_distance=trace.d_distance, gi_timeout=256, core_quantum=8,
+    if backend == "batch":
+        from repro.sim.batch import DecisionTrace, probe_hook
+
+        records: list = []
+        with probe_hook(records):
+            rep = run_trace(trace, protocol=protocol, gw=gw, jitter=jitter)
+        dtrace = DecisionTrace(records, swept_d=trace.d_distance)
+        rep_print = None
+        shared = peeled = 0
+        for d in lane_ds:
+            if d == trace.d_distance:
+                continue
+            if not dtrace.agrees(d):
+                peeled += 1
+                continue
+            lane = run_trace(dc_replace(trace, d_distance=d),
+                             protocol=protocol, gw=gw, jitter=jitter)
+            shared += 1
+            if rep_print is None:
+                rep_print = _machine_fingerprint(rep)
+            _assert_identical(
+                label,
+                f"lane d={d}, predicted to share with the "
+                f"d={trace.d_distance} representative "
+                f"({len(dtrace)} swept checks),",
+                rep_print, _machine_fingerprint(lane),
+            )
+        return {"shared": shared, "peeled": peeled, "checks": len(dtrace)}
+
+    if backend == "fastlane":
+        import repro.core.hitrun as hitrun
+
+        base = _trace_config(trace, protocol=protocol, gw=gw,
+                             jitter=jitter, monitor_period=0,
+                             core_quantum=8)
+        prints = {}
+        saved_min_run = hitrun.MIN_RUN
+        hitrun.MIN_RUN = 1
+        try:
+            for lane in (True, False):
+                m = Machine(dc_replace(base, fast_lane=lane))
+                for tid, core_ops in enumerate(trace.ops):
+                    m.add_thread(tid, _lower_fuzz_core(core_ops,
+                                                       trace.d_distance))
+                _run_checked(m, f"{label} fast_lane={lane}", _MAX_CYCLES)
+                payload = _machine_fingerprint(m)
+                payload["engine"] = (m.engine.now, m.engine.events_executed)
+                prints[lane] = payload
+        finally:
+            hitrun.MIN_RUN = saved_min_run
+        _assert_identical(label, "fast-lane run (vs the scalar run)",
+                          prints[False], prints[True])
+        return {"ops": trace.op_count()}
+
+    raise ValueError(
+        f"unknown backend {backend!r}; expected serial, batch or fastlane"
     )
-    base = dc_replace(
-        base,
-        protocol=protocol,
-        verify=VerifyConfig(monitor_period=0, watchdog_interval=50_000),
-        faults=FaultConfig(delay_jitter=jitter, seed=trace.seed or 1),
-    )
-
-    prints = {}
-    saved_min_run = hitrun.MIN_RUN
-    hitrun.MIN_RUN = min_run
-    try:
-        for lane in (True, False):
-            cfg = dc_replace(base, fast_lane=lane)
-            m = Machine(cfg)
-            for tid, core_ops in enumerate(trace.ops):
-                m.add_thread(tid, _lower_fuzz_core(core_ops,
-                                                   trace.d_distance))
-            try:
-                m.run(max_cycles=max_cycles)
-                m.check_quiescent()
-                m.check_coherence_invariants()
-            except FuzzFailure:
-                raise
-            except Exception as exc:
-                raise FuzzFailure(
-                    f"[{label} fast_lane={lane}] "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            payload = _machine_fingerprint(m)
-            payload["engine"] = (m.engine.now, m.engine.events_executed)
-            prints[lane] = payload
-    finally:
-        hitrun.MIN_RUN = saved_min_run
-
-    on, off = prints[True], prints[False]
-    if on != off:
-        diff = [k for k in off if on[k] != off[k]]
-        raise FuzzFailure(
-            f"[{label}] fast-lane run diverged from the scalar run "
-            f"in {', '.join(diff)}"
-        )
-    return {"ops": trace.op_count()}
 
 
 def run_matrix(seeds, *, jitter: int = 0, num_cores: int = 3,
                ops_per_core: int = 24, matrix=PROTOCOL_MATRIX,
                corpus_dir: str | Path | None = None) -> dict[str, int]:
-    """Run every seed under every protocol configuration.
+    """Run every seed under every ``(protocol, gw, backend)`` entry of
+    ``matrix`` through :func:`run_differential`.
 
-    Matrix entries are ``(protocol, gw)`` or ``(protocol, gw,
-    backend)``; ``backend="batch"`` routes through
-    :func:`run_trace_batch`.  Raises :class:`FuzzFailure` on the first
-    violation — batch-sharing divergences are first ddmin-minimized and
-    saved into ``corpus_dir`` (when given) for regression replay.
-    Returns summary counters (``runs``, ``ops``) when everything passes.
+    Raises :class:`FuzzFailure` on the first violation — after
+    ddmin-minimizing the offending trace into ``corpus_dir`` (when
+    given) for regression replay.  Returns summary counters (``runs``,
+    ``ops``) when everything passes.
     """
     runs = ops = 0
     for seed in seeds:
         trace = generate_trace(seed, num_cores=num_cores,
                                ops_per_core=ops_per_core)
-        for protocol, gw, *rest in matrix:
-            backend = rest[0] if rest else "serial"
-            if backend == "batch":
-                try:
-                    run_trace_batch(trace, protocol=protocol, gw=gw,
-                                    jitter=jitter)
-                except FuzzFailure:
-                    if corpus_dir is not None:
-                        _minimize_batch_divergence(
-                            trace, protocol=protocol, gw=gw,
-                            jitter=jitter, corpus_dir=corpus_dir)
-                    raise
-            elif backend == "fastlane":
-                try:
-                    run_trace_fastlane(trace, protocol=protocol, gw=gw,
-                                       jitter=jitter)
-                except FuzzFailure:
-                    if corpus_dir is not None:
-                        _minimize_fastlane_divergence(
-                            trace, protocol=protocol, gw=gw,
-                            jitter=jitter, corpus_dir=corpus_dir)
-                    raise
-            else:
-                run_trace(trace, protocol=protocol, gw=gw, jitter=jitter)
+        for protocol, gw, backend in matrix:
+            try:
+                run_differential(trace, protocol=protocol, gw=gw,
+                                 backend=backend, jitter=jitter)
+            except FuzzFailure:
+                if corpus_dir is not None:
+                    _minimize_divergence(trace, backend, protocol=protocol,
+                                         gw=gw, jitter=jitter,
+                                         corpus_dir=corpus_dir)
+                raise
             runs += 1
             ops += trace.op_count()
     return {"runs": runs, "ops": ops}
 
 
-def _minimize_batch_divergence(trace: FuzzTrace, *, protocol: str,
-                               gw: bool, jitter: int,
-                               corpus_dir: str | Path) -> Path:
-    """Shrink a batch-sharing divergence and save it to the corpus."""
+def _minimize_divergence(trace: FuzzTrace, backend: str, *, protocol: str,
+                         gw: bool, jitter: int,
+                         corpus_dir: str | Path) -> Path:
+    """Shrink a failing :func:`run_differential` trace and save it to
+    the corpus as ``{backend}_divergence_seed{seed}_{protocol}.json``."""
     def diverges(t: FuzzTrace) -> bool:
         try:
-            run_trace_batch(t, protocol=protocol, gw=gw, jitter=jitter)
+            run_differential(t, protocol=protocol, gw=gw, backend=backend,
+                             jitter=jitter)
         except FuzzFailure:
             return True
         return False
 
     small = minimize_trace(trace, diverges)
     path = (Path(corpus_dir)
-            / f"batch_divergence_seed{trace.seed}_{protocol}.json")
+            / f"{backend}_divergence_seed{trace.seed}_{protocol}.json")
     save_corpus_trace(
         small, path,
-        note=(f"batch lane-sharing divergence: protocol={protocol} "
+        note=(f"{backend} backend divergence: protocol={protocol} "
               f"gw={gw} jitter={jitter}; replay with "
-              f"run_trace_batch (see repro.sim.batch)"),
-    )
-    return path
-
-
-def _minimize_fastlane_divergence(trace: FuzzTrace, *, protocol: str,
-                                  gw: bool, jitter: int,
-                                  corpus_dir: str | Path) -> Path:
-    """Shrink a fast-lane/scalar divergence and save it to the corpus."""
-    def diverges(t: FuzzTrace) -> bool:
-        try:
-            run_trace_fastlane(t, protocol=protocol, gw=gw, jitter=jitter)
-        except FuzzFailure:
-            return True
-        return False
-
-    small = minimize_trace(trace, diverges)
-    path = (Path(corpus_dir)
-            / f"fastlane_divergence_seed{trace.seed}_{protocol}.json")
-    save_corpus_trace(
-        small, path,
-        note=(f"hit-run fast-lane divergence: protocol={protocol} "
-              f"gw={gw} jitter={jitter}; replay with "
-              f"run_trace_fastlane (see repro.core.hitrun)"),
+              f"run_differential(..., backend={backend!r})"),
     )
     return path
 
@@ -665,8 +620,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--jitter", type=int, default=0,
                    help="max extra NoC delay cycles (race shaking)")
     p.add_argument("--corpus", metavar="DIR", default=None,
-                   help="directory batch-sharing divergences are "
-                        "ddmin-minimized into (e.g. tests/verify/corpus)")
+                   help="directory a failing trace is ddmin-minimized "
+                        "into, whichever backend it failed on (e.g. "
+                        "tests/verify/corpus)")
     args = p.parse_args(argv)
 
     t0 = time.time()

@@ -158,7 +158,7 @@ class TestOwnedWrites:
 
 class TestGhostwriterOnMoesi:
     def test_gs_still_works_for_sharers(self):
-        m = build_machine(3, protocol="moesi", d_distance=4)
+        m = build_machine(3, protocol="ghostwriter-moesi", d_distance=4)
 
         def owner():
             yield SetAprx(4)
@@ -182,7 +182,7 @@ class TestGhostwriterOnMoesi:
         assert m.l1s[0].state_of(BLK) is CS.O
 
     def test_scribble_on_o_is_conventional(self):
-        m = build_machine(2, protocol="moesi", d_distance=4)
+        m = build_machine(2, protocol="ghostwriter-moesi", d_distance=4)
 
         def owner():
             yield SetAprx(4)
@@ -207,7 +207,8 @@ class TestMoesiStress:
     @given(progs=st.lists(st.lists(op_strategy, max_size=25),
                           min_size=2, max_size=4))
     def test_random_traces_consistent(self, progs):
-        _run_program(progs, len(progs), enabled=True, protocol="moesi")
+        _run_program(progs, len(progs), enabled=True,
+                     protocol="ghostwriter-moesi")
 
     @settings(max_examples=20, deadline=None)
     @given(progs=st.lists(st.lists(op_strategy, max_size=25),

@@ -1,4 +1,4 @@
-"""Unit tests of the protocol-policy registry and the legacy shim."""
+"""Unit tests of the protocol-policy registry and its resolution."""
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -72,8 +72,7 @@ class TestPolicyShape:
 class TestResolvePolicy:
     def test_registry_names_resolve_silently(self):
         """Naming a variant with its approximation switch matching its
-        nature never warns (mesi/moesi + enabled=True is the one legacy
-        spelling, covered below)."""
+        nature resolves to exactly that registry entry, silently."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for name in available_protocols():
@@ -87,13 +86,28 @@ class TestResolvePolicy:
         pol = resolve_policy("update-hybrid", False)
         assert pol.update_on_upgrade and not pol.approx
 
-    def test_legacy_base_with_approx_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="legacy spelling"):
-            pol = resolve_policy("mesi", True)
-        assert pol is get_protocol("ghostwriter")
-        with pytest.warns(DeprecationWarning, match="ghostwriter-moesi"):
-            pol = resolve_policy("moesi", True)
-        assert pol is get_protocol("ghostwriter-moesi")
+    @pytest.mark.parametrize("base", ["mesi", "moesi"])
+    def test_precise_base_with_approx_stays_precise(self, base):
+        """A precise base named with the approximation switch on is that
+        base, not a Ghostwriter variant."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_policy(base, True) is get_protocol(base)
+
+    @pytest.mark.parametrize("base", ["mesi", "moesi"])
+    def test_precise_base_at_positive_d_runs_precise(self, base):
+        """A requested MESI/MOESI run at d>0 never enters GS/GI and is
+        exact — it must not silently run Ghostwriter."""
+        from repro.harness.experiment import run_workload
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = run_workload("bad_dot_product", protocol=base,
+                               d_distance=4, num_threads=4, n_points=2048,
+                               max_value=7)
+        assert row.protocol == base
+        assert row.gs_serviced == row.gi_serviced == 0
+        assert row.error_pct == 0
 
     def test_legacy_base_without_approx_is_silent(self):
         with warnings.catch_warnings():

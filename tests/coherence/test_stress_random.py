@@ -42,7 +42,7 @@ def _addr(word_choice: int, tid: int) -> int:
 
 
 def _run_program(ops_per_thread, n_threads, enabled, quantum=2,
-                 d_distance=4, protocol="mesi"):
+                 d_distance=4, protocol="ghostwriter"):
     m = build_machine(max(2, n_threads), enabled=enabled,
                       d_distance=d_distance, quantum=quantum,
                       gi_timeout=512, protocol=protocol)

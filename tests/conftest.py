@@ -34,18 +34,10 @@ class TraceRecorder:
         return (old, new) in self.transitions(node)
 
 
-#: Legacy (base, enabled=True) spellings map to the registry's approx
-#: variants so tests written against the old two-knob interface build
-#: the same machine without tripping the DeprecationWarning shim.
-_LEGACY_APPROX = {"mesi": "ghostwriter", "moesi": "ghostwriter-moesi"}
-
-
 def build_machine(num_cores: int = 2, *, enabled: bool = True,
                   d_distance: int = 4, gi_timeout: int = 1024,
-                  quantum: int = 8, protocol: str = "mesi") -> Machine:
+                  quantum: int = 8, protocol: str = "ghostwriter") -> Machine:
     from dataclasses import replace
-    if enabled:
-        protocol = _LEGACY_APPROX.get(protocol, protocol)
     cfg = small_config(
         num_cores=num_cores, enabled=enabled, d_distance=d_distance,
         gi_timeout=gi_timeout, core_quantum=quantum,

@@ -102,7 +102,6 @@ def test_fastlane_matches_scalar_per_workload(name, tiny_min_run):
     assert pay_on == pay_off
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", ["histogram", "bad_dot_product"])
 def test_fastlane_matches_scalar_per_protocol(name, protocol, tiny_min_run):

@@ -1,12 +1,13 @@
-"""RunOptions: validation, derived configs, and the deprecation shims."""
+"""RunOptions: validation, derived configs, and the options-only
+harness surface."""
 import pickle
+import warnings
 
 import pytest
 
-from repro.harness import RunOptions, resolve_options
-from repro.harness.experiment import experiment_config, run_workload
+from repro.harness import RunOptions
+from repro.harness.experiment import experiment_config, run_pair, run_workload
 from repro.harness.figures import SweepCache
-from repro.harness.options import LEGACY_KWARGS
 
 
 class TestRunOptions:
@@ -60,109 +61,54 @@ class TestRunOptions:
         assert o.trace_events and o.timeline_interval == 512
         assert o.flight_depth == 32
 
-
-class TestResolveOptions:
-    def test_plain_options_pass_through_silently(self, recwarn):
-        opts = RunOptions(jobs=3)
-        assert resolve_options(opts, who="x") is opts
-        assert resolve_options(None, who="x") == RunOptions()
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_legacy_kwargs_warn_and_override(self):
-        with pytest.warns(DeprecationWarning, match=r"x: keyword\(s\)"):
-            out = resolve_options(RunOptions(fault_rate=1.0), who="x",
-                                  fault_rate=9.0, jobs=2)
-        assert out.fault_rate == 9.0
-        assert out.jobs == 2
-
-    def test_none_valued_kwargs_do_not_warn(self, recwarn):
-        out = resolve_options(None, who="x", fault_rate=None, jobs=None)
-        assert out == RunOptions()
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
-
-    @pytest.mark.parametrize("key,value", [
-        ("check_invariants", False),
-        ("fault_rate", 2.0),
-        ("fault_seed", 9),
-        ("fault_policy", "log"),
-        ("jobs", 2),
-    ])
-    def test_each_legacy_spelling_warns_once_naming_replacement(
-            self, recwarn, key, value):
-        out = resolve_options(None, who="x", **{key: value})
-        warns = [w for w in recwarn
-                 if issubclass(w.category, DeprecationWarning)]
-        assert len(warns) == 1
-        assert LEGACY_KWARGS[key] in str(warns[0].message)
-        assert getattr(out, key) == value
-
-    def test_shim_table_covers_exactly_the_pre_pr3_spellings(self):
-        assert sorted(LEGACY_KWARGS) == [
-            "check_invariants", "fault_policy", "fault_rate",
-            "fault_seed", "jobs",
-        ]
-        for field in LEGACY_KWARGS.values():
-            assert field.startswith("RunOptions.")
-
-    def test_unknown_legacy_key_is_a_type_error(self):
-        with pytest.raises(TypeError, match="unexpected legacy keyword"):
-            resolve_options(None, who="x", fault_rtae=1.0)
-
     def test_topology_field_validated(self):
         assert RunOptions(topology="chiplet").topology == "chiplet"
         with pytest.raises(ValueError, match="unknown topology"):
             RunOptions(topology="torus")
 
 
+#: the per-knob keywords every options-taking entry point used to accept
+_FAULT_KEYWORDS = {"check_invariants": False, "fault_rate": 2.0,
+                   "fault_seed": 9, "fault_policy": "log"}
+
+
 class TestSurfaceShims:
-    """Every public surface keeps its old keywords, with a warning."""
+    """The retired per-knob keyword spellings are gone: every harness
+    entry point takes its run-shaping knobs through ``options`` only."""
 
-    def test_experiment_config_shim(self):
-        with pytest.warns(DeprecationWarning, match="experiment_config"):
-            cfg = experiment_config(enabled=False, check_invariants=False,
-                                    fault_rate=10.0)
-        assert cfg.verify.check_invariants is False
-        assert cfg.faults.cache_rate == 10.0
-
-    def test_run_workload_shim(self):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            row = run_workload("histogram", d_distance=4, num_threads=2,
-                               scale=0.05, check_invariants=False)
-        assert row.cycles > 0
-
-    def test_sweep_cache_shim_and_legacy_views(self):
-        with pytest.warns(DeprecationWarning, match="SweepCache"):
+    def test_sweep_cache_options_only_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cache = SweepCache(num_threads=2, scale=0.05,
-                               check_invariants=False, fault_rate=3.0,
-                               jobs=2)
-        assert cache.jobs == 2
-        assert cache.check_invariants is False
-        assert cache.fault_rate == 3.0
+                               options=RunOptions(check_invariants=False,
+                                                  fault_rate=3.0))
+        assert cache.options.check_invariants is False
         # faulty sweeps force the log policy so rows complete
         assert cache.options.fault_policy == "log"
 
-    def test_sweep_cache_options_only_is_silent(self, recwarn):
-        cache = SweepCache(num_threads=2, scale=0.05,
-                           options=RunOptions(check_invariants=False))
-        assert cache.options.check_invariants is False
-        assert not [w for w in recwarn
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_run_pair_shim(self):
-        from repro.harness.experiment import run_pair
-
-        with pytest.warns(DeprecationWarning, match="run_pair"):
-            base, gw = run_pair("histogram", d_distance=4, num_threads=2,
-                                scale=0.05, jobs=1)
-        assert base.d_distance == 0
-        assert gw.d_distance == 4
-
-    def test_fault_sweep_shim(self):
+    @pytest.mark.parametrize("entry,removed", [
+        ("experiment_config", _FAULT_KEYWORDS),
+        ("run_workload", _FAULT_KEYWORDS),
+        ("SweepCache", {**_FAULT_KEYWORDS, "jobs": 2}),
+        ("run_pair", {"jobs": 1}),
+        ("fault_sweep", {"jobs": 1}),
+    ], ids=["experiment_config", "run_workload", "SweepCache", "run_pair",
+            "fault_sweep"])
+    def test_removed_keyword_raises(self, entry, removed):
         from repro.faults.sweep import fault_sweep
 
-        with pytest.warns(DeprecationWarning, match="fault_sweep"):
-            result = fault_sweep("histogram", num_threads=2, scale=0.05,
-                                 rates=(0.0,), jobs=1)
-        assert result.cells
+        calls = {
+            "experiment_config": lambda **kw: experiment_config(
+                enabled=False, **kw),
+            "run_workload": lambda **kw: run_workload(
+                "histogram", d_distance=4, num_threads=2, scale=0.05, **kw),
+            "SweepCache": lambda **kw: SweepCache(
+                num_threads=2, scale=0.05, **kw),
+            "run_pair": lambda **kw: run_pair(
+                "histogram", d_distance=4, num_threads=2, scale=0.05, **kw),
+            "fault_sweep": lambda **kw: fault_sweep(
+                "histogram", num_threads=2, scale=0.05, rates=(0.0,), **kw),
+        }
+        for key, value in removed.items():
+            with pytest.raises(TypeError, match=key):
+                calls[entry](**{key: value})

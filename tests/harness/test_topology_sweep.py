@@ -23,13 +23,24 @@ from repro.store.keys import (
 )
 
 #: Pre-topology-layer point keys of the fig12 grid (captured on the
-#: commit before the ``topology`` field existed).  If these move, every
-#: stored sweep row silently retires — that is a KEY_SCHEMA bump, not a
-#: refactor detail.
+#: commit before the ``topology`` field existed), under the schema-1
+#: version tag.  They pin the canonicalization itself: if these move,
+#: the key construction changed shape.
+SCHEMA1_VERSION = "1.0.0+k1"
 GOLDEN_FIG12_KEYS = {
     128: "af73c46b7338d4d8e662495059a423e5",
     512: "5baaca8d783b6d272b9106d3a5733173",
     1024: "99c485efa7050412f47b31cd1d01d51a",
+}
+
+#: The same points under the current schema-2 tag (``mesi``/``moesi``
+#: at d>0 became the precise base, retiring every schema-1 row).  If
+#: these move while the schema-1 pins hold, every stored sweep row
+#: silently retires — that is a KEY_SCHEMA bump, not a refactor detail.
+GOLDEN_FIG12_KEYS_SCHEMA2 = {
+    128: "a640deb1a55ab0f074fcf93074fbf248",
+    512: "3c4d93edebab8ba3b9de0170be7d441a",
+    1024: "2e538796afe3abc2217e2949cab0b521",
 }
 
 
@@ -44,6 +55,10 @@ def _fig12_kwargs(gi_timeout, **over):
 class TestStoreKeyByteIdentity:
     def test_default_mesh_keys_unchanged(self):
         for gi, want in GOLDEN_FIG12_KEYS.items():
+            key = point_key("bad_dot_product", _fig12_kwargs(gi),
+                            code_version=SCHEMA1_VERSION)
+            assert key == want, f"gi_timeout={gi} schema-1 key moved"
+        for gi, want in GOLDEN_FIG12_KEYS_SCHEMA2.items():
             key = point_key("bad_dot_product", _fig12_kwargs(gi))
             assert key == want, f"gi_timeout={gi} key moved"
 

@@ -1,17 +1,7 @@
-"""Mesh routing through the topology layer, plus the legacy-module shims.
-
-The property tests that used to drive ``repro.noc.topology`` directly
-now go through ``NocConfig.topo``; the legacy module functions survive
-as deprecation shims and are pinned here to warn exactly once per call,
-naming their replacement.
-"""
-import warnings
-
-import pytest
+"""Mesh routing through the topology layer (``NocConfig.topo``)."""
 from hypothesis import given, strategies as st
 
 from repro.common.config import NocConfig
-from repro.noc import topology as legacy
 
 PAPER = NocConfig(mesh_cols=6, mesh_rows=4)
 TOPO = PAPER.topo
@@ -59,50 +49,3 @@ class TestXYRoute:
     def test_hops_symmetric(self, src, dst):
         assert TOPO.hops(src, dst) == TOPO.hops(dst, src)
 
-
-def _single_warning(calls):
-    """Run a callable, assert exactly one DeprecationWarning, return it."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = calls()
-    deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deps) == 1, [str(w.message) for w in caught]
-    return result, str(deps[0].message)
-
-
-class TestLegacyModuleShims:
-    """Each retired spelling warns exactly once, naming its replacement."""
-
-    def test_xy_route_shim(self):
-        path, msg = _single_warning(lambda: legacy.xy_route(PAPER, 0, 23))
-        assert path == TOPO.route(0, 23)
-        assert "NocConfig.topo.route" in msg
-
-    def test_route_routers_shim(self):
-        n, msg = _single_warning(lambda: legacy.route_routers(PAPER, 0, 1))
-        assert n == 2
-        assert "NocConfig.topo.route_routers" in msg
-
-    def test_validate_topology_shim(self):
-        _, msg = _single_warning(lambda: legacy.validate_topology(PAPER))
-        assert "NocConfig.topo.validate" in msg
-
-    def test_nocconfig_coords_shim(self):
-        xy, msg = _single_warning(lambda: PAPER.coords(23))
-        assert xy == (5, 3)
-        assert "NocConfig.topo.coords" in msg
-
-    def test_nocconfig_hops_shim(self):
-        h, msg = _single_warning(lambda: PAPER.hops(0, 23))
-        assert h == 8
-        assert "NocConfig.topo.hops" in msg
-
-    def test_nocconfig_corner_nodes_shim(self):
-        corners, msg = _single_warning(PAPER.corner_nodes)
-        assert corners == (0, 5, 18, 23)
-        assert "default_directory_nodes" in msg
-
-    def test_shims_delegate_beyond_the_mesh(self):
-        ring = NocConfig(mesh_cols=8, mesh_rows=1, topology="ring")
-        with pytest.warns(DeprecationWarning):
-            assert legacy.xy_route(ring, 0, 7) == [0, 7]

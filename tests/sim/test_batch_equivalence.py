@@ -77,7 +77,6 @@ def test_batch_matches_serial_per_workload(name):
     assert report.degraded == 0 and report.divergences == []
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.parametrize("protocol", [
     "mesi", "moesi", "ghostwriter", "ghostwriter-moesi", "gw-gs-only",
     "gw-gi-only", "self-invalidate", "update-hybrid",

@@ -291,9 +291,6 @@ class TestGroupKey:
                                    (("d_distance", True),))) is None
         assert group_key(GridPoint(
             "histogram", (("d_distance", 4),
-                          ("fault_rate", 1.0)))) is None
-        assert group_key(GridPoint(
-            "histogram", (("d_distance", 4),
                           ("extras", bytearray(b"unhashable"))))) is None
 
 

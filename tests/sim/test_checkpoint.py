@@ -46,7 +46,7 @@ def _factory(cid: int, rounds: int = 24, salt: int = 0):
 
 def _scripted_machine(num_cores: int = 2, *, period: int | None = 64,
                       rounds: int = 24, salt: int = 0,
-                      protocol: str = "mesi", enabled: bool = True,
+                      protocol: str = "ghostwriter", enabled: bool = True,
                       max_keep: int | None = None) -> Machine:
     m = build_machine(num_cores, protocol=protocol, enabled=enabled)
     if period is not None:

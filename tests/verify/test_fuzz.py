@@ -7,8 +7,8 @@ import pytest
 from repro.mem.backing import BackingStore
 from repro.verify.fuzz import (
     PROTOCOL_MATRIX, FuzzFailure, FuzzTrace, approx_drops, generate_trace,
-    load_corpus_trace, minimize_trace, run_matrix, run_trace,
-    run_trace_batch,
+    load_corpus_trace, minimize_trace, run_differential, run_matrix,
+    run_trace,
 )
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -55,9 +55,14 @@ class TestMatrix:
     def test_matrix_samples_the_batch_backend(self):
         """The matrix exercises the lockstep lane-sharing differential
         (repro.sim.batch) on at least two protocol variants."""
-        batch = {p for p, _gw, *rest in PROTOCOL_MATRIX
-                 if rest and rest[0] == "batch"}
+        batch = {p for p, _gw, backend in PROTOCOL_MATRIX
+                 if backend == "batch"}
         assert len(batch) >= 2
+
+    def test_unknown_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            run_differential(generate_trace(0), protocol="ghostwriter",
+                             gw=True, backend="vector")
 
     def test_jitter_runs_clean(self):
         summary = run_matrix(range(5), jitter=3)
@@ -71,7 +76,9 @@ class TestBatchDifferential:
         representative and lanes peeled back to their own run."""
         shared = peeled = checks = 0
         for seed in range(15):
-            s = run_trace_batch(generate_trace(seed))
+            s = run_differential(generate_trace(seed),
+                                 protocol="ghostwriter", gw=True,
+                                 backend="batch")
             shared += s["shared"]
             peeled += s["peeled"]
             checks += s["checks"]
@@ -88,7 +95,9 @@ class TestBatchDifferential:
                             lambda self, d: True)
         with pytest.raises(FuzzFailure, match="diverged"):
             for seed in range(30):
-                run_trace_batch(generate_trace(seed), lane_ds=(4,))
+                run_differential(generate_trace(seed),
+                                 protocol="ghostwriter", gw=True,
+                                 backend="batch", lane_ds=(4,))
 
         with pytest.raises(FuzzFailure, match="diverged"):
             run_matrix(range(30),
@@ -162,7 +171,7 @@ class TestCorpus:
         """Every corpus trace must still run clean under the full oracle
         set AND still reproduce the race it was shrunk to pin down."""
         trace = load_corpus_trace(path)
-        machine = run_trace(trace, protocol="mesi", gw=True)
+        machine = run_trace(trace, protocol="ghostwriter", gw=True)
         assert approx_drops(machine) > 0, (
             f"{path.name} no longer exhibits the GS/GI-drop race"
         )

@@ -33,8 +33,8 @@ def clean_cache():
 
 
 def _run(name, protocol, *, compiled):
-    # enabled mirrors the protocol so "mesi" stays genuine baseline MESI
-    # instead of resolving through the legacy approx shim
+    # enabled mirrors the protocol so "mesi" runs with approximation
+    # off, as the harness runs its baseline legs
     cfg = replace(small_config(num_cores=THREADS,
                                enabled=(protocol != "mesi")),
                   protocol=protocol, compile_programs=compiled)

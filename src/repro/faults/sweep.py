@@ -124,12 +124,11 @@ def fault_sweep(workload: str = "histogram", *,
         for label, d in _CONFIGS
         for k in range(seeds_per_cell)
     ]
-    # base also carries the durability knobs (result store, resume,
-    # retry policy); the per-cell fault fields are part of each point's
-    # content key, so every (rate, config, fault-seed) cell commits and
-    # resumes independently
-    outcomes = run_grid([p for _r, _l, p in grid], jobs=base.jobs,
-                        options=base)
+    # base says how the grid runs (workers, backend, result store,
+    # resume, retry policy); the per-cell fault fields are part of each
+    # point's content key, so every (rate, config, fault-seed) cell
+    # commits and resumes independently
+    outcomes = run_grid([p for _r, _l, p in grid], options=base)
     errors: dict[tuple, list[float]] = {}
     crashes: dict[tuple, int] = {}
     for (rate, label, _point), outcome in zip(grid, outcomes):

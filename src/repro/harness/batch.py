@@ -30,7 +30,7 @@ from repro.harness.experiment import (
     DEFAULT_THREADS, experiment_config, row_from_result, run_workload_result,
 )
 from repro.harness.parallel import (
-    _NO_RETRY, GridFailure, GridPoint, RetryPolicy, _attempt_serial,
+    GridFailure, GridPoint, RetryPolicy, _attempt_serial,
     _failure_from, _run_point, _traceback_tail,
 )
 from repro.sim.batch import Lane, DecisionTrace, RepRun, probe_hook, run_group
@@ -128,7 +128,7 @@ def _shared_row(point: GridPoint, out: RepRun):
                            out.result, cfg)
 
 
-def batch_fan_out(points, *, retry: RetryPolicy | None = None,
+def batch_fan_out(points, *, retry: RetryPolicy = RetryPolicy(),
                   on_result=None, report: BatchReport | None = None):
     """``fan_out(_run_point, points)`` with lockstep lane sharing.
 
@@ -138,7 +138,6 @@ def batch_fan_out(points, *, retry: RetryPolicy | None = None,
     ``fan_out`` reports them.
     """
     points = list(points)
-    policy = retry if retry is not None else _NO_RETRY
     rpt = report if report is not None else BatchReport()
     results: list = [None] * len(points)
 
@@ -160,12 +159,12 @@ def batch_fan_out(points, *, retry: RetryPolicy | None = None,
         serial.extend(groups.pop(key))
     rpt.serial += len(serial)
     for i in sorted(serial):
-        emit(i, _attempt_serial(_run_point, i, points[i], policy))
+        emit(i, _attempt_serial(_run_point, i, points[i], retry))
 
     for idxs in groups.values():
         rpt.groups += 1
         rpt.lanes += len(idxs)
-        _run_lockstep_group(points, idxs, policy, emit, rpt)
+        _run_lockstep_group(points, idxs, retry, emit, rpt)
     return results
 
 

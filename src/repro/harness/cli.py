@@ -81,9 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         "see repro.harness.parallel)")
     p.add_argument("--backend", choices=("serial", "batch"),
                    default="serial",
-                   help="sweep execution backend: 'batch' advances "
-                        "d/gi-swept points in lockstep over shared "
-                        "representative runs (bit-identical results; see "
+                   help="execution backend of every sweep figure: 'batch' "
+                        "advances d/gi-swept points in lockstep over "
+                        "shared representative runs, in one process (no "
+                        "--jobs; bit-identical results; see "
                         "repro.sim.batch)")
     p.add_argument("--store", metavar="DB", default=None,
                    help="durable result store (SQLite): commit every sweep "
@@ -133,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--fault-rate must be >= 0, got {args.fault_rate:g}")
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.backend == "batch" and args.jobs > 1:
+        parser.error("--backend batch runs in one process; drop --jobs")
     if args.timeline_interval < 0:
         parser.error(f"--timeline-interval must be >= 0, "
                      f"got {args.timeline_interval}")
@@ -164,18 +167,6 @@ def main(argv: list[str] | None = None) -> int:
     wanted = _ALL if args.figure == "all" else (args.figure,)
     cache = F.SweepCache(num_threads=args.threads, scale=args.scale,
                          seed=args.seed, options=options)
-    sweep_wanted = [f for f in wanted if f in _SWEEP_FIGS]
-    if (args.jobs > 1 or args.store) and sweep_wanted:
-        # warm the shared sweep across the pool before the per-figure
-        # drivers read it; fig7 alone only needs the d in {4, 8} legs
-        ds = (4, 8) if sweep_wanted == ["fig7"] else (0, 4, 8)
-        t0 = time.time()
-        cache.prefetch(ds=ds)
-        print(f"[sweep prefetch x{args.jobs} jobs: "
-              f"{time.time() - t0:.1f}s]\n")
-        store = cache.result_store()
-        if store is not None:
-            print(f"[store {args.store}: {store.stats.render()}]\n")
     if args.profile:
         # profile exactly the figure work (not argument parsing or the
         # export tail) so hot-path hunts don't need ad-hoc scripts
@@ -207,6 +198,18 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run_figures(wanted, args, cache) -> int:
     """Run each requested figure; returns the crashed-figure count."""
+    sweep_wanted = [f for f in wanted if f in _SWEEP_FIGS]
+    if sweep_wanted:
+        # run the shared sweep as one grid before the per-figure drivers
+        # read it; fig7 alone only needs the d in {4, 8} legs
+        ds = (4, 8) if sweep_wanted == ["fig7"] else (0, 4, 8)
+        t0 = time.time()
+        cache.prefetch(ds=ds)
+        print(f"[sweep prefetch x{args.jobs} jobs, {args.backend}: "
+              f"{time.time() - t0:.1f}s]\n")
+        store = cache.result_store()
+        if store is not None:
+            print(f"[store {args.store}: {store.stats.render()}]\n")
     crashed = 0
     for name in wanted:
         t0 = time.time()
@@ -256,10 +259,10 @@ def _run_figure(name, args, cache):
         return F.fig11(cache)
     if name == "fig12":
         return F.fig12(num_threads=args.threads, seed=args.seed,
-                       jobs=args.jobs, options=cache.options)
+                       options=cache.options)
     if name == "protocols":
         return F.fig_protocols(num_threads=args.threads, seed=args.seed,
-                               jobs=args.jobs, options=cache.options)
+                               options=cache.options)
     if name == "topology":
         # default --topology sweeps every registered shape; an explicit
         # non-default choice restricts the grid to that one
@@ -268,7 +271,7 @@ def _run_figure(name, args, cache):
         if not counts:
             counts = (args.threads,)
         return F.fig_topology(topologies, counts, seed=args.seed,
-                              jobs=args.jobs, options=cache.options)
+                              options=cache.options)
     raise AssertionError(name)  # pragma: no cover - argparse restricts
 
 

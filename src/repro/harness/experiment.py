@@ -246,32 +246,23 @@ def run_pair(name: str, *, d_distance: int,
              **kwargs) -> tuple[RunRow, RunRow]:
     """(baseline, ghostwriter) rows for one workload and d setting.
 
-    ``options.jobs >= 2`` runs the two legs concurrently via the parallel
-    executor (:mod:`repro.harness.parallel`); the rows are bit-identical
-    to the serial path either way.  ``options.store`` makes both legs
-    durable: committed legs are served from the result store instead of
-    re-running.
+    Both legs run through :func:`~repro.harness.parallel.run_grid`, so
+    ``options`` says how (``jobs``, ``backend``, ``store``); the rows are
+    bit-identical either way.  A failed leg raises ``RuntimeError`` with
+    its :meth:`~repro.harness.parallel.GridFailure.render` line.
     """
+    # local import: parallel builds on this module's run_workload
+    from repro.harness.parallel import GridFailure, GridPoint, run_grid
+
     opts = options if options is not None else RunOptions()
-    if opts.jobs > 1 or opts.store:
-        # local import: parallel builds on this module's run_workload
-        from repro.harness.parallel import GridFailure, GridPoint, run_grid
-        points = [
-            GridPoint(name, dict(d_distance=d, num_threads=num_threads,
-                                 scale=scale, seed=seed, options=opts,
-                                 **kwargs),
-                      label=f"d_distance={d}")
-            for d in (0, d_distance)
-        ]
-        base, gw = run_grid(points, jobs=opts.jobs, options=opts)
-        for row in (base, gw):
-            if isinstance(row, GridFailure):
-                raise RuntimeError(
-                    f"run_pair leg failed: {row.render()}"
-                )
-        return base, gw
-    base = run_workload(name, d_distance=0, num_threads=num_threads,
-                        scale=scale, seed=seed, options=opts, **kwargs)
-    gw = run_workload(name, d_distance=d_distance, num_threads=num_threads,
-                      scale=scale, seed=seed, options=opts, **kwargs)
+    points = [
+        GridPoint(name, dict(d_distance=d, num_threads=num_threads,
+                             scale=scale, seed=seed, options=opts, **kwargs),
+                  label=f"d_distance={d}")
+        for d in (0, d_distance)
+    ]
+    base, gw = run_grid(points, options=opts)
+    for row in (base, gw):
+        if isinstance(row, GridFailure):
+            raise RuntimeError(f"run_pair leg failed: {row.render()}")
     return base, gw

@@ -17,9 +17,10 @@ from repro.analysis.ddistance import SimilarityProfile, machine_store_histogram
 from repro.common.config import default_config, table1_rows
 from repro.common.types import MessageClass
 from repro.harness.experiment import (
-    DEFAULT_SCALE, DEFAULT_THREADS, RunRow, experiment_config, run_workload,
+    DEFAULT_SCALE, DEFAULT_THREADS, RunRow, experiment_config,
 )
 from repro.harness.options import RunOptions
+from repro.harness.parallel import GridFailure, GridPoint, run_grid
 from repro.workloads.base import WorkloadResult
 from repro.workloads.registry import PAPER_WORKLOADS, create, table2_rows
 
@@ -51,16 +52,18 @@ def _fmt_table(headers: list[str], rows: list[list[str]]) -> str:
 class SweepCache:
     """Memoized (app, d) -> RunRow over the main evaluation sweep.
 
-    ``options.jobs > 1`` makes :meth:`prefetch` fan the uncached grid
-    points out over a process pool (:mod:`repro.harness.parallel`); the
-    cached rows are bit-identical to serial runs.
+    Every uncached point runs through
+    :func:`~repro.harness.parallel.run_grid`, so ``options`` alone says
+    how: ``options.jobs > 1`` fans :meth:`prefetch`'s grid out over a
+    process pool, ``options.backend == "batch"`` runs it in lockstep,
+    and the cached rows are bit-identical to serial runs either way.
 
     ``options.store`` makes the sweep *durable*: every completed row
     commits to a content-addressed result store
-    (:mod:`repro.store`), and both :meth:`row` and :meth:`prefetch`
-    serve committed points from the store instead of re-running them —
-    a killed figure run restarted with ``resume`` picks up exactly
-    where the committed work left off, bit-identically.
+    (:mod:`repro.store`), and committed points are served from the
+    store instead of re-running them — a killed figure run restarted
+    with ``resume`` picks up exactly where the committed work left off,
+    bit-identically.
     """
 
     def __init__(self, num_threads: int = DEFAULT_THREADS,
@@ -76,7 +79,7 @@ class SweepCache:
             # faulty sweeps log-and-continue so every row completes
             opts = opts.replace(fault_policy="log")
         self.options = opts
-        self._rows: dict[tuple[str, int], RunRow] = {}
+        self._rows: dict[tuple[str, int], RunRow | GridFailure] = {}
         self._store = None      # lazily opened ResultStore handle
 
     def _run_kwargs(self, app: str, d: int) -> dict:
@@ -96,56 +99,40 @@ class SweepCache:
     def row(self, app: str, d: int) -> RunRow:
         """Memoized run of (app, d); ``d=0`` is baseline MESI.
 
-        With a configured result store, a point already committed there
-        is served without re-running (unless ``options.resume`` is
-        off); a freshly run point commits before being returned.
+        A point that failed raises ``RuntimeError`` with its
+        :meth:`GridFailure.render` line; the failure is cached (and, if
+        permanent, committed), so the point runs once, not per call.
         """
-        key = (app, d)
-        if key not in self._rows:
-            store = self.result_store()
-            if store is not None:
-                from repro.harness.parallel import GridPoint, run_point_stored
-                point = GridPoint(app, self._run_kwargs(app, d),
-                                  label=f"{app} d={d}")
-                self._rows[key] = run_point_stored(
-                    point, store, resume=self.options.resume)
-            else:
-                self._rows[key] = run_workload(app, **self._run_kwargs(app, d))
-        return self._rows[key]
+        self.prefetch((app,), (d,))
+        outcome = self._rows[(app, d)]
+        if isinstance(outcome, GridFailure):
+            raise RuntimeError(outcome.render())
+        return outcome
 
-    def prefetch(self, apps=None, ds=_D_SWEEP, jobs: int | None = None) -> None:
-        """Run (and cache) the sweep up front, optionally in parallel.
+    def prefetch(self, apps=None, ds=_D_SWEEP) -> None:
+        """Run the uncached (app, d) points of the grid through
+        :func:`~repro.harness.parallel.run_grid` and cache every outcome,
+        :class:`GridFailure` included.
 
-        A grid point that fails in the parallel path is simply left
-        uncached: the next :meth:`row` call reruns it serially and
-        raises its real exception, exactly as the serial path would.
         With a configured result store every completed point commits as
         it lands, so a killed prefetch resumes from the committed rows.
         """
-        jobs = self.options.jobs if jobs is None else jobs
         keys = [(app, d) for app in (apps or _APPS) for d in ds
                 if (app, d) not in self._rows]
-        if (jobs > 1 or self.options.store) and len(keys) > 1:
-            from repro.harness.parallel import (
-                GridFailure, GridPoint, run_grid,
-            )
-            points = [
-                GridPoint(app, self._run_kwargs(app, d), label=f"{app} d={d}")
-                for app, d in keys
-            ]
-            outcomes = run_grid(points, jobs=jobs,
-                                store=self.result_store(),
-                                options=self.options)
-            for key, outcome in zip(keys, outcomes):
-                if not isinstance(outcome, GridFailure):
-                    self._rows[key] = outcome
+        if not keys:
             return
-        for app, d in keys:
-            self.row(app, d)
+        points = [
+            GridPoint(app, self._run_kwargs(app, d), label=f"{app} d={d}")
+            for app, d in keys
+        ]
+        outcomes = run_grid(points, options=self.options,
+                            store=self.result_store())
+        self._rows.update(zip(keys, outcomes))
 
     def rows(self) -> dict[tuple[str, int], RunRow]:
         """Snapshot of every cached (app, d) -> RunRow (for exporters)."""
-        return dict(self._rows)
+        return {key: row for key, row in self._rows.items()
+                if isinstance(row, RunRow)}
 
 
 # ---------------------------------------------------------------------
@@ -506,14 +493,13 @@ class Fig12Result:
 
 
 def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
-          n_points: int = 4096, seed: int = 12345, jobs: int = 1,
+          n_points: int = 4096, seed: int = 12345,
           options: RunOptions | None = None) -> Fig12Result:
     """GI-timeout sensitivity sweep on the Listing-1 microbenchmark.
 
-    ``options`` threads the durability knobs (result store, resume,
-    per-point retry/timeout) into the underlying grid run.
+    ``options`` says how the underlying grid runs (workers, backend,
+    result store, resume, per-point retry/timeout).
     """
-    from repro.harness.parallel import GridFailure, GridPoint, run_grid
     extra = {"options": options} if options is not None else {}
     points = [
         GridPoint("bad_dot_product",
@@ -524,8 +510,7 @@ def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
         for timeout in timeouts
     ]
     gi_pct, err = [], []
-    for point, row in zip(points, run_grid(points, jobs=jobs,
-                                           options=options)):
+    for row in run_grid(points, options=options):
         if isinstance(row, GridFailure):
             raise RuntimeError(f"fig12 point failed: {row.render()}")
         gi_pct.append(row.gi_serviced_pct)
@@ -563,7 +548,7 @@ class FigProtocolsResult:
 
 def fig_protocols(protocols=None, *, d_distance: int = 4,
                   num_threads: int = DEFAULT_THREADS, n_points: int = 4096,
-                  seed: int = 12345, jobs: int = 1,
+                  seed: int = 12345,
                   options: RunOptions | None = None) -> FigProtocolsResult:
     """Every registered protocol variant on the Listing-1 microbenchmark.
 
@@ -574,7 +559,7 @@ def fig_protocols(protocols=None, *, d_distance: int = 4,
 
     result = sweep_protocols(
         "bad_dot_product", protocols, d_distance=d_distance,
-        num_threads=num_threads, seed=seed, jobs=jobs, options=options,
+        num_threads=num_threads, seed=seed, options=options,
         n_points=n_points, max_value=3,
     )
     failed = result.failures()
@@ -617,7 +602,7 @@ class FigTopologyResult:
 
 def fig_topology(topologies=None, core_counts=(24, 64, 128, 256), *,
                  d_distance: int = 4, gi_timeout: int = 1024,
-                 n_points: int = 4096, seed: int = 12345, jobs: int = 1,
+                 n_points: int = 4096, seed: int = 12345,
                  options: RunOptions | None = None) -> FigTopologyResult:
     """Core count x topology sweep on the Listing-1 microbenchmark.
 
@@ -631,7 +616,7 @@ def fig_topology(topologies=None, core_counts=(24, 64, 128, 256), *,
 
     result = sweep_topology_scale(
         "bad_dot_product", topologies, core_counts, d_distance=d_distance,
-        gi_timeout=gi_timeout, seed=seed, jobs=jobs, options=options,
+        gi_timeout=gi_timeout, seed=seed, options=options,
         n_points=n_points, max_value=3,
     )
     failed = result.failures()

@@ -35,7 +35,8 @@ class RunOptions:
     fault_seed: int = 1
     #: Monitor reaction to caught corruption: abort / log / recover.
     fault_policy: str = "abort"
-    #: Worker processes for sweep fan-out (1 = in-process serial).
+    #: Worker processes ``run_grid`` fans a grid out over
+    #: (1 = in-process serial).
     jobs: int = 1
     #: Record every protocol event (see ObsConfig.trace_events).
     trace_events: bool = False
@@ -74,7 +75,8 @@ class RunOptions:
     #: through the per-point interpreter; ``"batch"`` lets ``run_grid``
     #: advance groups of points that share a compiled program in
     #: lockstep (:mod:`repro.sim.batch`), falling back per-point where
-    #: sharing is unsound.  Results are bit-identical either way.
+    #: sharing is unsound.  Results are bit-identical either way.  The
+    #: batch backend runs in one process, so it requires ``jobs == 1``.
     backend: str = "serial"
     #: Vectorized hit-run fast lane (:mod:`repro.core.hitrun`): execute
     #: guaranteed-L1-hit op runs as numpy kernels.  Bit-identical to the
@@ -97,6 +99,9 @@ class RunOptions:
             )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.backend == "batch" and self.jobs > 1:
+            raise ValueError("the batch backend runs in one process; "
+                             "it takes no jobs > 1")
         if self.timeline_interval < 0 or self.flight_recorder < 0:
             raise ValueError("obs intervals/depths cannot be negative")
         if self.point_timeout < 0 or self.point_backoff < 0:

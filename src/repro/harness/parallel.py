@@ -13,11 +13,6 @@ Design points:
 * *Chunked job queue* — jobs are submitted in contiguous chunks
   (``chunk_size``, default ~4 chunks per worker) so per-job IPC overhead
   amortizes while stragglers still rebalance across the pool.
-* *Per-job seed derivation* — grid points that do not pin their own
-  ``seed`` get one derived deterministically from ``(base_seed, index)``
-  via :func:`derive_seed` (a keyed blake2b hash, *not* Python's
-  process-salted ``hash()``), so results never depend on worker
-  scheduling or ``PYTHONHASHSEED``.
 * *Crash isolation with a failure taxonomy* — a grid point that raises
   becomes a :class:`GridFailure` row at its index; sibling points
   complete normally.  Failures are classified **permanent**
@@ -47,8 +42,11 @@ Design points:
   and are returned in input order, so callers can ``zip`` them with
   their parameter values exactly as in the serial code path.
 
-``jobs=1`` executes inline in the calling process (no pool, no pickling)
-and is the reference path the parallel path is tested against.
+:func:`run_grid` is the one way to run grid points: how it runs — worker
+count, backend, retry budget, result store — comes from its
+:class:`~repro.harness.options.RunOptions` alone.  ``jobs=1`` executes
+inline in the calling process (no pool, no pickling) and is the
+reference path the parallel path is tested against.
 """
 from __future__ import annotations
 
@@ -101,9 +99,8 @@ class GridPoint:
     """One unit of sweep work: a workload plus its run kwargs.
 
     ``kwargs`` are passed verbatim to
-    :func:`repro.harness.experiment.run_workload`; a missing ``seed`` is
-    filled in by :func:`run_grid` from its ``base_seed`` (when given).
-    ``label`` is free-form context echoed into failure reports.
+    :func:`repro.harness.experiment.run_workload`.  ``label`` is
+    free-form context echoed into failure reports.
     """
 
     workload: str
@@ -238,7 +235,7 @@ class RetryPolicy:
     point index and attempt), so retried sweeps stay reproducible.
     """
 
-    retries: int = 2
+    retries: int = 0
     timeout: float = 0.0
     backoff_base: float = 0.25
     backoff_factor: float = 2.0
@@ -262,10 +259,6 @@ class RetryPolicy:
                    self.backoff_base * self.backoff_factor ** (attempt - 1))
         frac = derive_seed(attempt, *key) / _SEED_SPACE
         return base * (1.0 + self.jitter * frac)
-
-
-#: the legacy behavior: no retries, no timeout — still pool-supervised
-_NO_RETRY = RetryPolicy(retries=0, timeout=0.0, backoff_base=0.0)
 
 
 def default_chunk_size(n_items: int, jobs: int) -> int:
@@ -650,7 +643,7 @@ class _Supervisor:
 
 def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
             jobs: int = 1, chunk_size: int | None = None,
-            retry: RetryPolicy | None = None,
+            retry: RetryPolicy = RetryPolicy(),
             on_result: Callable[[int, Any], None] | None = None
             ) -> list[Any]:
     """Apply ``fn`` to every item, optionally across a supervised pool.
@@ -667,18 +660,17 @@ def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
     """
     items = list(items)
     jobs = max(1, int(jobs))
-    policy = retry if retry is not None else _NO_RETRY
     if jobs == 1 or len(items) <= 1:
         results = []
         for index, item in enumerate(items):
-            outcome = _attempt_serial(fn, index, item, policy)
+            outcome = _attempt_serial(fn, index, item, retry)
             if on_result is not None:
                 on_result(index, outcome)
             results.append(outcome)
         return results
     if chunk_size is None:
         chunk_size = default_chunk_size(len(items), jobs)
-    return _Supervisor(fn, items, jobs, chunk_size, policy, on_result).run()
+    return _Supervisor(fn, items, jobs, chunk_size, retry, on_result).run()
 
 
 def _attempt_serial(fn: Callable[[Any], Any], index: int, item: Any,
@@ -703,13 +695,9 @@ def _run_point(point: GridPoint) -> RunRow:
     return run_workload(point.workload, **dict(point.kwargs))
 
 
-def retry_from_options(options: RunOptions | None) -> RetryPolicy | None:
-    """The :class:`RetryPolicy` a ``RunOptions`` implies (None = legacy
-    no-retry behavior when no retry knob is set)."""
-    if options is None:
-        return None
-    if (options.point_retries == 0 and options.point_timeout == 0.0):
-        return None
+def retry_from_options(options: RunOptions) -> RetryPolicy:
+    """The :class:`RetryPolicy` a ``RunOptions`` implies (the defaults
+    imply :class:`RetryPolicy()`: no retries, no timeout)."""
     return RetryPolicy(retries=options.point_retries,
                        timeout=options.point_timeout,
                        backoff_base=options.point_backoff)
@@ -737,124 +725,69 @@ def _commit(store, key: str, point: GridPoint, outcome: Any) -> None:
                   protocol=protocol, seed=seed)
 
 
-def run_point_stored(point: GridPoint, store: Any, *,
-                     resume: bool = True) -> RunRow:
-    """Run one grid point through a result store, serially.
-
-    Serves a committed ``RunRow`` when ``resume`` allows; otherwise runs
-    the point and commits the outcome.  Unlike :func:`run_grid`, an
-    exception **propagates** to the caller (after committing a
-    permanent-failure record) — this is the durable twin of calling
-    :func:`~repro.harness.experiment.run_workload` directly, used by the
-    serial figure path.  A committed permanent failure is *not* served:
-    the point re-runs so the caller sees the real exception.
-    """
-    from repro.store import point_key
-
-    key = point_key(point.workload, point.kwargs)
-    if resume and not _point_traced(point):
-        hit = store.get(key)
-        if isinstance(hit, RunRow):
-            return hit
-    try:
-        row = run_workload(point.workload, **dict(point.kwargs))
-    except Exception as exc:
-        failure = _failure_from(exc, 0, point, tb=_traceback_tail())
-        if failure.permanent:
-            _commit(store, key, point, failure)
-        raise
-    _commit(store, key, point, row)
-    return row
-
-
-def run_grid(points: Sequence[GridPoint], *, jobs: int = 1,
-             chunk_size: int | None = None,
-             base_seed: int | None = None,
+def run_grid(points: Sequence[GridPoint], *,
              options: RunOptions | None = None,
-             store: Any | None = None,
-             retry: RetryPolicy | None = None
-             ) -> list[RunRow | GridFailure]:
+             store: Any | None = None) -> list[RunRow | GridFailure]:
     """Run a grid of workload points; one ``RunRow`` (or ``GridFailure``)
     per point, in input order.
 
-    When ``base_seed`` is given, any point whose kwargs omit ``seed``
-    receives ``derive_seed(base_seed, index)`` — the same seed whether
-    the grid runs serially or across a pool.
-
-    ``options`` supplies the durability/robustness knobs: a
-    ``store`` path turns on the content-addressed result store
-    (committed points are served without re-running when
-    ``options.resume`` is true, and every finalized point commits
-    atomically as it lands), and the ``point_retries`` /
-    ``point_timeout`` / ``point_backoff`` fields become the
-    :class:`RetryPolicy`.  Explicit ``store=`` (an open
-    :class:`~repro.store.ResultStore`) and ``retry=`` arguments
-    override the options-derived ones.  Resumed and cold grids are
-    bit-identical (see ``tests/store/test_resume.py``).
+    ``options`` says how the grid runs: ``jobs`` worker processes, the
+    ``backend``, the per-point retry policy (``point_retries`` /
+    ``point_timeout`` / ``point_backoff``) and durability.  A ``store``
+    path turns on the content-addressed result store: committed points
+    are served without re-running when ``options.resume`` is true, and
+    every finalized point commits atomically as it lands.  ``store=``
+    (an open :class:`~repro.store.ResultStore`) is used instead of
+    opening ``options.store``, so a caller can share one handle across
+    grids.  Resumed and cold grids are bit-identical (see
+    ``tests/store/test_resume.py``).
     """
-    resolved: list[GridPoint] = []
-    for index, point in enumerate(points):
-        kwargs = dict(point.kwargs)
-        if base_seed is not None and "seed" not in kwargs:
-            kwargs["seed"] = derive_seed(base_seed, index)
-        resolved.append(GridPoint(point.workload, kwargs, point.label))
+    opts = options if options is not None else RunOptions()
+    points = [GridPoint(p.workload, dict(p.kwargs), p.label) for p in points]
+    if store is not None or not opts.store:
+        return _run_grid_stored(points, opts, store)
+    from repro.store import open_store
 
-    if retry is None:
-        retry = retry_from_options(options)
-    own_store = False
-    if store is None and options is not None and options.store:
-        from repro.store import open_store
-
-        store = open_store(options.store)
-        own_store = True
-    resume = options.resume if options is not None else True
-    backend = options.backend if options is not None else "serial"
-
+    store = open_store(opts.store)
     try:
-        return _run_grid_stored(resolved, jobs=jobs, chunk_size=chunk_size,
-                                store=store, resume=resume, retry=retry,
-                                backend=backend)
+        return _run_grid_stored(points, opts, store)
     finally:
-        if own_store and store is not None:
-            store.close()
+        store.close()
 
 
-def _run_grid_stored(resolved: list[GridPoint], *, jobs: int,
-                     chunk_size: int | None, store: Any | None,
-                     resume: bool, retry: RetryPolicy | None,
-                     backend: str = "serial"
-                     ) -> list[RunRow | GridFailure]:
+def _run_grid_stored(points: list[GridPoint], options: RunOptions,
+                     store: Any | None) -> list[RunRow | GridFailure]:
     """Grid execution with optional store lookup/commit around it.
 
-    ``backend="batch"`` routes the pending points through the lockstep
-    lane executor (:func:`repro.harness.batch.batch_fan_out`) — an
-    in-process path that shares representative runs across d/gi-swept
+    ``options.backend == "batch"`` routes the pending points through the
+    lockstep lane executor (:func:`repro.harness.batch.batch_fan_out`) —
+    an in-process path that shares representative runs across d/gi-swept
     points and honors the same outcome/on_result contract as
     :func:`fan_out` — so store lookups and per-point commits compose
     identically, and served rows simply never become lanes.
     """
-    if backend == "batch":
+    retry = retry_from_options(options)
+    if options.backend == "batch":
         from repro.harness.batch import batch_fan_out
 
         def execute(subset, on_result=None):
             return batch_fan_out(subset, retry=retry, on_result=on_result)
     else:
         def execute(subset, on_result=None):
-            return fan_out(_run_point, subset, jobs=jobs,
-                           chunk_size=chunk_size, retry=retry,
-                           on_result=on_result)
+            return fan_out(_run_point, subset, jobs=options.jobs,
+                           retry=retry, on_result=on_result)
 
     if store is None:
-        return execute(resolved)
+        return execute(points)
 
     from repro.store import point_key
 
-    keys = [point_key(p.workload, p.kwargs) for p in resolved]
-    results: list[Any] = [None] * len(resolved)
+    keys = [point_key(p.workload, p.kwargs) for p in points]
+    results: list[Any] = [None] * len(points)
     pending: list[int] = []
-    for i, point in enumerate(resolved):
+    for i, point in enumerate(points):
         hit = None
-        if resume and not _point_traced(point):
+        if options.resume and not _point_traced(point):
             hit = store.get(keys[i])
         if hit is None:
             pending.append(i)
@@ -864,11 +797,11 @@ def _run_grid_stored(resolved: list[GridPoint], *, jobs: int,
             results[i] = hit
 
     if pending:
-        subset = [resolved[i] for i in pending]
+        subset = [points[i] for i in pending]
 
         def commit(local_index: int, outcome: Any) -> None:
             i = pending[local_index]
-            _commit(store, keys[i], resolved[i], outcome)
+            _commit(store, keys[i], points[i], outcome)
 
         outcomes = execute(subset, on_result=commit)
         for local_index, outcome in enumerate(outcomes):

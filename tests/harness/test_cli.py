@@ -38,3 +38,23 @@ class TestCli:
     def test_fig10_small_machine(self, capsys):
         assert main(["fig10", "--threads", "4", "--scale", "0.1"]) == 0
         assert "Fig. 10" in capsys.readouterr().out
+
+    def test_backend_batch_runs_the_figure_sweep(self, capsys,
+                                                 monkeypatch):
+        import repro.harness.batch as batch
+
+        calls = []
+        real = batch.batch_fan_out
+
+        def counting(points, **kwargs):
+            calls.append(len(points))
+            return real(points, **kwargs)
+        monkeypatch.setattr(batch, "batch_fan_out", counting)
+        assert main(["fig7", "--threads", "4", "--scale", "0.1",
+                     "--backend", "batch"]) == 0
+        assert calls
+        assert "Fig. 7" in capsys.readouterr().out
+
+    def test_backend_batch_rejects_jobs(self):
+        with pytest.raises(SystemExit):
+            main(["fig7", "--backend", "batch", "--jobs", "2"])

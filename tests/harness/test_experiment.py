@@ -75,6 +75,24 @@ class TestRunners:
         assert base.loads == gw.loads
         assert base.stores == gw.stores
 
+    def test_run_pair_batch_backend_goes_through_run_grid(self,
+                                                          monkeypatch):
+        import repro.harness.batch as batch
+        from repro.harness.options import RunOptions
+
+        calls = []
+        real = batch.batch_fan_out
+
+        def counting(points, **kwargs):
+            calls.append(len(points))
+            return real(points, **kwargs)
+        monkeypatch.setattr(batch, "batch_fan_out", counting)
+        kw = dict(d_distance=4, num_threads=4, scale=0.1)
+        batched = run_pair("bad_dot_product",
+                           options=RunOptions(backend="batch"), **kw)
+        assert calls == [2]
+        assert batched == run_pair("bad_dot_product", **kw)
+
     def test_workload_kwargs_forwarded(self):
         row = run_workload("bad_dot_product", d_distance=0, num_threads=2,
                            scale=1.0, n_points=64)

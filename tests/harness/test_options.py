@@ -25,6 +25,8 @@ class TestRunOptions:
             RunOptions(fault_policy="explode")
         with pytest.raises(ValueError):
             RunOptions(jobs=0)
+        with pytest.raises(ValueError, match="one process"):
+            RunOptions(backend="batch", jobs=2)
         with pytest.raises(ValueError):
             RunOptions(timeline_interval=-1)
         with pytest.raises(ValueError):
@@ -92,10 +94,25 @@ class TestSurfaceShims:
         ("SweepCache", {**_FAULT_KEYWORDS, "jobs": 2}),
         ("run_pair", {"jobs": 1}),
         ("fault_sweep", {"jobs": 1}),
+        ("run_grid", {"jobs": 2, "chunk_size": 1, "retry": None,
+                      "base_seed": 99}),
+        ("sweep_d_distance", {"jobs": 2}),
+        ("fig12", {"jobs": 2}),
+        ("SweepCache.prefetch", {"jobs": 2}),
     ], ids=["experiment_config", "run_workload", "SweepCache", "run_pair",
-            "fault_sweep"])
+            "fault_sweep", "run_grid", "sweep_d_distance", "fig12",
+            "SweepCache.prefetch"])
     def test_removed_keyword_raises(self, entry, removed):
         from repro.faults.sweep import fault_sweep
+        from repro.harness.figures import fig12
+        from repro.harness.parallel import run_grid
+        from repro.harness.sweeps import sweep_d_distance
+
+        def sweep(**kw):
+            result = sweep_d_distance("histogram", (4,), num_threads=2,
+                                      scale=0.05, **kw)
+            for _value, failure in result.failures():
+                raise RuntimeError(failure.render())
 
         calls = {
             "experiment_config": lambda **kw: experiment_config(
@@ -108,7 +125,17 @@ class TestSurfaceShims:
                 "histogram", d_distance=4, num_threads=2, scale=0.05, **kw),
             "fault_sweep": lambda **kw: fault_sweep(
                 "histogram", num_threads=2, scale=0.05, rates=(0.0,), **kw),
+            "run_grid": lambda **kw: run_grid([], **kw),
+            "sweep_d_distance": sweep,
+            "fig12": lambda **kw: fig12((128,), num_threads=2, **kw),
+            "SweepCache.prefetch": lambda **kw: SweepCache(
+                num_threads=2, scale=0.05).prefetch(**kw),
         }
+        # run_pair and the sweeps forward unknown keywords to the
+        # workload, whose TypeError comes back as a failed grid point
+        forwarded = entry in ("run_pair", "sweep_d_distance")
         for key, value in removed.items():
-            with pytest.raises(TypeError, match=key):
+            with pytest.raises(RuntimeError if forwarded else TypeError,
+                               match=rf"TypeError: .*'{key}'"
+                               if forwarded else key):
                 calls[entry](**{key: value})

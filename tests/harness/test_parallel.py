@@ -7,9 +7,10 @@ whether the grid runs serially or across a worker pool.
 import pytest
 
 from repro.harness.experiment import RunRow
+from repro.harness.options import RunOptions
 from repro.harness.parallel import (
-    GridFailure, GridPoint, default_chunk_size, derive_seed, fan_out,
-    run_grid,
+    GridFailure, GridPoint, _run_point, default_chunk_size, derive_seed,
+    fan_out, run_grid,
 )
 from repro.verify.watchdog import DeadlockError
 
@@ -31,8 +32,8 @@ def _grid(d_values=(0, 2, 4, 8)):
 class TestDeterminism:
     def test_parallel_rows_bit_identical_to_serial(self):
         points = _grid()
-        serial = run_grid(points, jobs=1)
-        parallel = run_grid(points, jobs=2, chunk_size=1)
+        serial = run_grid(points)
+        parallel = run_grid(points, options=RunOptions(jobs=2))
         assert all(isinstance(r, RunRow) for r in serial)
         # RunRow is a frozen dataclass: == compares every stat field —
         # cycles, error, full traffic dict, energy, all L1 counters
@@ -40,15 +41,15 @@ class TestDeterminism:
 
     def test_parallel_rows_bit_identical_across_chunkings(self):
         points = _grid((0, 4))
-        a = run_grid(points, jobs=2, chunk_size=1)
-        b = run_grid(points, jobs=2, chunk_size=2)
+        a = fan_out(_run_point, points, jobs=2, chunk_size=1)
+        b = fan_out(_run_point, points, jobs=2, chunk_size=2)
         assert a == b
 
     def test_traffic_and_cycles_fields(self):
         # spot-check the headline stats named in the issue explicitly
         points = _grid((4,))
-        [serial] = run_grid(points, jobs=1)
-        [parallel] = run_grid(points * 1, jobs=2)
+        [serial] = run_grid(points)
+        [parallel] = run_grid(points, options=RunOptions(jobs=2))
         assert serial.cycles == parallel.cycles
         assert serial.traffic == parallel.traffic
         assert serial.error_pct == parallel.error_pct
@@ -66,8 +67,8 @@ class TestDeterminism:
                       label=f"protocol={p}")
             for p in available_protocols()
         ]
-        serial = run_grid(points, jobs=1)
-        parallel = run_grid(points, jobs=2, chunk_size=1)
+        serial = run_grid(points)
+        parallel = run_grid(points, options=RunOptions(jobs=2))
         assert all(isinstance(r, RunRow) for r in serial)
         assert [r.protocol for r in serial] == list(available_protocols())
         assert serial == parallel
@@ -132,23 +133,27 @@ class TestRunGrid:
         assert out.label == "d=4"
         assert "DeadlockError" in out.render() and "d=4" in out.render()
 
-    def test_base_seed_fills_missing_seeds_only(self, monkeypatch):
+    @pytest.mark.parametrize("entry", ["run_grid", "fig12"])
+    def test_options_jobs_builds_one_supervised_pool(self, entry,
+                                                     monkeypatch):
+        """``RunOptions.jobs`` alone decides the worker count: no
+        caller-side ``jobs=`` can silently keep a grid in-process."""
         import repro.harness.parallel as par
-        seen = []
+        from repro.harness.figures import fig12
+        built = []
 
-        def record(name, **kwargs):
-            seen.append(kwargs["seed"])
-            return None
-        monkeypatch.setattr(par, "run_workload", record)
-        run_grid(
-            [GridPoint("w", {}), GridPoint("w", {"seed": 7}),
-             GridPoint("w", {})],
-            base_seed=99,
-        )
-        assert seen[0] == derive_seed(99, 0)
-        assert seen[1] == 7
-        assert seen[2] == derive_seed(99, 2)
-        assert seen[0] != seen[2]
+        class Counting(par._Supervisor):
+            def __init__(self, fn, items, jobs, *args):
+                built.append(jobs)
+                super().__init__(fn, items, jobs, *args)
+        monkeypatch.setattr(par, "_Supervisor", Counting)
+        opts = RunOptions(jobs=2)
+        if entry == "run_grid":
+            rows = run_grid(_grid((0, 4)), options=opts)
+            assert all(isinstance(r, RunRow) for r in rows)
+        else:
+            fig12((128, 1024), num_threads=4, n_points=256, options=opts)
+        assert built == [2]
 
 
 class TestDeriveSeed:

@@ -87,8 +87,9 @@ class TestRetryPolicy:
             RetryPolicy(jitter=2.0)
 
     def test_retry_from_options(self):
-        assert retry_from_options(None) is None
-        assert retry_from_options(RunOptions()) is None  # legacy behavior
+        # always a policy: the defaults imply no retries, no timeout
+        assert retry_from_options(RunOptions()) == RetryPolicy()
+        assert (RetryPolicy().retries, RetryPolicy().timeout) == (0, 0.0)
         p = retry_from_options(RunOptions(point_retries=3,
                                           point_timeout=2.0,
                                           point_backoff=0.5))

@@ -87,12 +87,11 @@ SMALL = dict(workload="bad_dot_product", core_counts=(2,), scale=0.05,
              seed=12345, n_points=256, max_value=3)
 
 
-def _rows(options, topologies=("mesh", "ring"), jobs=1):
+def _rows(options, topologies=("mesh", "ring")):
     kwargs = dict(SMALL)
     kwargs.pop("core_counts")
     result = sweep_topology_scale(
-        kwargs.pop("workload"), topologies, (2,), jobs=jobs,
-        options=options, **kwargs)
+        kwargs.pop("workload"), topologies, (2,), options=options, **kwargs)
     assert not result.failures(), result.render()
     return result
 
@@ -106,7 +105,7 @@ class TestSweepTopologyScale:
 
     def test_serial_parallel_batch_rows_identical(self):
         serial = _rows(RunOptions()).rows
-        fanned = _rows(RunOptions(jobs=2), jobs=2).rows
+        fanned = _rows(RunOptions(jobs=2)).rows
         batch = _rows(RunOptions(backend="batch")).rows
         assert serial == fanned == batch
 

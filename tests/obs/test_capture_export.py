@@ -86,8 +86,8 @@ class TestExportCaptures:
                       label=f"d{d}")
             for d in (0, 4)
         ]
-        serial = run_grid(points, jobs=1)
-        fanned = run_grid(points, jobs=2)
+        serial = run_grid(points)
+        fanned = run_grid(points, options=RunOptions(jobs=2))
         for out, rows in ((tmp_path / "s", serial), (tmp_path / "p", fanned)):
             export_captures(
                 [(f"hist.d{r.d_distance}", r.obs) for r in rows], out)

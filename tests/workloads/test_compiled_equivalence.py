@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import small_config
-from repro.harness.parallel import GridPoint, run_grid
+from repro.harness.parallel import GridPoint, _run_point, fan_out, run_grid
 from repro.workloads.registry import ALL_WORKLOADS, PROGRAM_CACHE, create
 
 THREADS = 4
@@ -85,7 +85,7 @@ def test_warm_cache_rows_bit_identical_across_jobs():
                   label=f"p{i}")
         for i in range(4)
     ]
-    serial = run_grid(points, jobs=1)
-    pooled = run_grid(points, jobs=2, chunk_size=2)
+    serial = run_grid(points)
+    pooled = fan_out(_run_point, points, jobs=2, chunk_size=2)
     assert serial == pooled
     assert all(row == serial[0] for row in serial)

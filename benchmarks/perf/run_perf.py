@@ -219,7 +219,7 @@ def bench_core_hit_run(n: int):
         np.asarray(cycs, dtype=np.int64),
         validate_loads=False,
     )
-    cfg = small_config(num_cores=1, enabled=True, d_distance=6)
+    cfg = small_config(num_cores=1, d_distance=6)
 
     def thunk() -> None:
         m = Machine(cfg)
@@ -285,7 +285,8 @@ def _hit_loop_l1(protocol: str):
     from repro.coherence.policy import get_protocol
 
     cfg = replace(
-        small_config(num_cores=2, enabled=get_protocol(protocol).approx),
+        small_config(num_cores=2,
+                     d_distance=4 if get_protocol(protocol).approx else 0),
         protocol=protocol,
     )
     m = Machine(cfg)

@@ -52,7 +52,7 @@ def test_untraced_machine_pays_no_structural_obs_cost():
     from repro.harness.experiment import experiment_config
     from repro.sim.machine import Machine
 
-    m = Machine(experiment_config(enabled=True, num_cores=2))
+    m = Machine(experiment_config(d_distance=4, num_cores=2))
     assert m.bus is None
     assert m.recorder is None
     assert m.flight is None

@@ -19,7 +19,7 @@ from conftest import BENCH_SCALE, BENCH_SEED, BENCH_THREADS
 
 
 def _run_linreg(mode: str):
-    cfg = experiment_config(enabled=True, d_distance=8)
+    cfg = experiment_config(d_distance=8)
     cfg = replace(cfg, ghostwriter=replace(cfg.ghostwriter,
                                            similarity_mode=mode))
     w = create("linear_regression", num_threads=BENCH_THREADS,
@@ -50,7 +50,7 @@ def test_similarity_mode_ablation(benchmark):
 
 def test_write_budget_ablation(benchmark):
     def run(budget):
-        cfg = experiment_config(enabled=True, d_distance=4)
+        cfg = experiment_config(d_distance=4)
         cfg = replace(cfg, ghostwriter=replace(
             cfg.ghostwriter, approx_write_budget=budget))
         w = create("bad_dot_product", num_threads=BENCH_THREADS,

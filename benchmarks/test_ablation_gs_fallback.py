@@ -22,9 +22,9 @@ from conftest import BENCH_SCALE, BENCH_SEED, BENCH_THREADS
 
 
 def _run(gs_fallback_getx: bool):
-    cfg = experiment_config(enabled=True, d_distance=8)
+    cfg = experiment_config(d_distance=8)
     cfg = replace(cfg, ghostwriter=GhostwriterConfig(
-        enabled=True, d_distance=8, gi_timeout=1024,
+        d_distance=8, gi_timeout=1024,
         gs_fallback_getx=gs_fallback_getx,
     ))
     w = create("linear_regression", num_threads=BENCH_THREADS,

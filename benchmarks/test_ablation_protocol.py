@@ -18,10 +18,11 @@ from conftest import BENCH_SCALE, BENCH_SEED, BENCH_THREADS
 _GW_VARIANT = {"mesi": "ghostwriter", "moesi": "ghostwriter-moesi"}
 
 
-def _run(name, *, protocol, enabled, d=8):
+def _run(name, *, protocol, d):
+    """``d=0`` runs the precise ``protocol``; ``d>0`` its approximate
+    registry variant."""
     cfg = experiment_config(
-        enabled=enabled, d_distance=d,
-        protocol=_GW_VARIANT[protocol] if enabled else protocol,
+        d_distance=d, protocol=_GW_VARIANT[protocol] if d else protocol,
     )
     w = create(name, num_threads=BENCH_THREADS, scale=BENCH_SCALE,
                seed=BENCH_SEED)
@@ -35,10 +36,8 @@ def test_protocol_ablation(benchmark):
         out = {}
         for name in ("linear_regression", "jpeg"):
             for proto in ("mesi", "moesi"):
-                out[(name, proto, "base")] = _run(name, protocol=proto,
-                                                  enabled=False)
-                out[(name, proto, "gw")] = _run(name, protocol=proto,
-                                                enabled=True)
+                out[(name, proto, "base")] = _run(name, protocol=proto, d=0)
+                out[(name, proto, "gw")] = _run(name, protocol=proto, d=8)
         return out
 
     rows = benchmark.pedantic(sweep, iterations=1, rounds=1)

@@ -25,8 +25,7 @@ def psnr(reference: np.ndarray, measured: np.ndarray) -> float:
 
 
 def run(d_distance: int):
-    enabled = d_distance > 0
-    cfg = experiment_config(enabled=enabled, d_distance=max(d_distance, 1))
+    cfg = experiment_config(d_distance=d_distance)
     workload = create("jpeg", num_threads=24, scale=1.0)
     result = workload.run(cfg)
     energy = EnergyAccountant(cfg).report(result.machine)

@@ -16,9 +16,9 @@ from repro.workloads.registry import create
 N_POINTS = 4096
 
 
-def run(name: str, threads: int, *, enabled: bool, d: int = 4, **kw):
-    cfg = experiment_config(enabled=enabled, d_distance=d,
-                            num_cores=max(threads, 1))
+def run(name: str, threads: int, *, d: int, **kw):
+    """One run; ``d=0`` is the precise (baseline MESI) machine."""
+    cfg = experiment_config(d_distance=d, num_cores=max(threads, 1))
     w = create(name, num_threads=threads, n_points=N_POINTS, **kw)
     return w.run(cfg)
 
@@ -35,8 +35,8 @@ def main() -> None:
     base_naive = base_priv = None
     naive_cycles = {}
     for t in counts:
-        rn = run("bad_dot_product", t, enabled=False, approximate=False)
-        rp = run("private_dot_product", t, enabled=False)
+        rn = run("bad_dot_product", t, d=0, approximate=False)
+        rp = run("private_dot_product", t, d=0)
         naive_cycles[t] = rn.cycles
         if base_naive is None:
             base_naive, base_priv = rn.cycles, rp.cycles
@@ -46,8 +46,8 @@ def main() -> None:
     print("\nPart 2 — Ghostwriter rescues the naive code (no rewrite):")
     t = counts[-1]
     for d in (4, 8):
-        r = run("bad_dot_product", t, enabled=True, d=d, max_value=15)
-        rn = run("bad_dot_product", t, enabled=False, max_value=15)
+        r = run("bad_dot_product", t, d=d, max_value=15)
+        rn = run("bad_dot_product", t, d=0, max_value=15)
         speedup = (rn.cycles / r.cycles - 1) * 100
         gs = r.stats.child("l1").total("gs_serviced")
         gi = r.stats.child("l1").total("gi_serviced")

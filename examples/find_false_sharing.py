@@ -23,7 +23,7 @@ THREADS = 8
 
 def main() -> None:
     # 1. record the suspect program (Listing 1) on baseline MESI
-    cfg = experiment_config(enabled=False, num_cores=THREADS)
+    cfg = experiment_config(d_distance=0, num_cores=THREADS)
     workload = create("bad_dot_product", num_threads=THREADS,
                       n_points=1024, max_value=7)
     machine = Machine(cfg)
@@ -51,8 +51,7 @@ def main() -> None:
 
     # 3. replay the identical trace under Ghostwriter
     print("\nreplaying the same trace under Ghostwriter (d=8)...")
-    gw_cfg = experiment_config(enabled=True, d_distance=8,
-                               num_cores=THREADS)
+    gw_cfg = experiment_config(d_distance=8, num_cores=THREADS)
     base_replay = replay_trace(trace, cfg, initial_memory=snapshot)
     gw_replay = replay_trace(trace, gw_cfg, initial_memory=snapshot)
     b, g = base_replay.network.stats, gw_replay.network.stats

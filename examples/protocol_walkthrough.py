@@ -23,9 +23,10 @@ BLOCK = 0x4000
 EPOCH = 400
 
 
-def _machine(num_cores: int, enabled: bool, gi_timeout: int = 1024):
-    cfg = small_config(num_cores=num_cores, enabled=enabled,
-                       d_distance=4, gi_timeout=gi_timeout)
+def _machine(num_cores: int, d: int, gi_timeout: int = 1024):
+    """A small machine; ``d=0`` is baseline MESI."""
+    cfg = small_config(num_cores=num_cores, d_distance=d,
+                       gi_timeout=gi_timeout)
     machine = Machine(cfg)
     for l1 in machine.l1s:
         l1.transition_hook = lambda cyc, node, blk, old, new, why: print(
@@ -35,10 +36,10 @@ def _machine(num_cores: int, enabled: bool, gi_timeout: int = 1024):
     return machine
 
 
-def migratory(enabled: bool) -> None:
-    label = "Ghostwriter" if enabled else "baseline MESI"
+def migratory(d: int) -> None:
+    label = "Ghostwriter" if d else "baseline MESI"
     print(f"\n--- Fig. 4: migratory false sharing under {label} ---")
-    machine = _machine(2, enabled)
+    machine = _machine(2, d)
 
     def core0():
         yield SetAprx(4)
@@ -69,7 +70,7 @@ def migratory(enabled: bool) -> None:
 
 def producer_consumer() -> None:
     print("\n--- Fig. 5: producer-consumer under Ghostwriter (GI) ---")
-    machine = _machine(3, enabled=True, gi_timeout=6 * EPOCH)
+    machine = _machine(3, d=4, gi_timeout=6 * EPOCH)
 
     def core0():  # first producer
         yield SetAprx(4)
@@ -106,8 +107,8 @@ def producer_consumer() -> None:
 
 
 def main() -> None:
-    migratory(enabled=False)
-    migratory(enabled=True)
+    migratory(d=0)
+    migratory(d=4)
     producer_consumer()
 
 

@@ -16,7 +16,7 @@ from repro.sim.machine import Machine
 
 def main() -> None:
     # a small 2-core machine with Ghostwriter enabled at d-distance 4
-    cfg = small_config(num_cores=2, enabled=True, d_distance=4)
+    cfg = small_config(num_cores=2, d_distance=4)
     machine = Machine(cfg)
 
     # print every coherence transition as it happens

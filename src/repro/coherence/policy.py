@@ -28,7 +28,7 @@ update-hybrid       MESI    yes    yes    invalidate          update
 ==================  ======  =====  =====  ==================  ========
 
 A ``SimConfig`` names its protocol directly; :func:`resolve_policy`
-combines that name with the ``ghostwriter.enabled`` switch, which strips
+combines that name with the config's d-distance: ``d_distance=0`` strips
 the approximate states for the precise baseline legs.
 """
 from __future__ import annotations
@@ -115,8 +115,7 @@ class ProtocolPolicy:
 
     def precise(self) -> "ProtocolPolicy":
         """This policy with the approximate states stripped (the
-        ``d_distance=0`` / ``ghostwriter.enabled=False`` baseline legs:
-        same base protocol, no GS/GI)."""
+        ``d_distance=0`` baseline legs: same base protocol, no GS/GI)."""
         if not self.approx:
             return self
         return replace(self, allows_gs=False, allows_gi=False)
@@ -169,10 +168,11 @@ def available_protocols() -> tuple[str, ...]:
 
 
 def resolve_policy(protocol: str, approx_enabled: bool = True) -> ProtocolPolicy:
-    """Map a ``SimConfig`` (protocol name, ghostwriter.enabled) pair to
-    the effective policy: the registered ``protocol``, with GS/GI
-    stripped when ``approx_enabled`` is off — which is how the sweep
-    harness runs each protocol's precise baseline leg.
+    """Map a ``SimConfig``'s protocol name and approximation switch
+    (``ghostwriter.d_distance > 0``) to the effective policy: the
+    registered ``protocol``, with GS/GI stripped when ``approx_enabled``
+    is off — which is how a ``d_distance=0`` run executes each
+    protocol's precise baseline.
     """
     policy = get_protocol(protocol)
     return policy if approx_enabled else policy.precise()

@@ -190,13 +190,12 @@ class DramConfig:
 class GhostwriterConfig:
     """Knobs of the Ghostwriter protocol extension."""
 
-    #: Approximation on/off switch: False strips the GS/GI states from
-    #: whatever ``SimConfig.protocol`` names, leaving its precise base
-    #: (the paper's "0 d-distance" bars).  Protocol *selection* lives in
-    #: ``SimConfig.protocol`` / :mod:`repro.coherence.policy`.
-    enabled: bool = True
     #: Maximum number of differing least-significant bits for a scribble
-    #: to be serviced approximately.
+    #: to be serviced approximately.  0 is the precise machine (the
+    #: paper's "0 d-distance" bars): it strips the GS/GI states from
+    #: whatever ``SimConfig.protocol`` names, leaving its precise base.
+    #: Protocol *selection* lives in ``SimConfig.protocol`` /
+    #: :mod:`repro.coherence.policy`.
     d_distance: int = 4
     #: Periodic flash-invalidate interval for GI blocks, in cycles.
     gi_timeout: int = 1024
@@ -232,6 +231,11 @@ class GhostwriterConfig:
             )
         if self.approx_write_budget is not None and self.approx_write_budget < 1:
             raise ValueError("approx write budget must be positive")
+
+    @property
+    def enabled(self) -> bool:
+        """True when the machine approximates at all (``d_distance > 0``)."""
+        return self.d_distance > 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -386,7 +390,7 @@ class SimConfig:
     #: protocol, the default), "mesi"/"moesi" (precise baselines), the
     #: "gw-gs-only"/"gw-gi-only" ablations, "ghostwriter-moesi", and the
     #: non-paper "self-invalidate"/"update-hybrid" variants.  A name
-    #: means exactly its registry entry; ``ghostwriter.enabled=False``
+    #: means exactly its registry entry; ``ghostwriter.d_distance=0``
     #: strips the approximate states from any variant (the
     #: d-distance-0 baseline legs).
     protocol: str = "ghostwriter"
@@ -451,28 +455,22 @@ class SimConfig:
     def policy(self):
         """The effective :class:`~repro.coherence.policy.ProtocolPolicy`
         — the named protocol, with the approximate states stripped when
-        ``ghostwriter.enabled`` is off.  ``Machine`` resolves this once
+        ``ghostwriter.d_distance`` is 0.  ``Machine`` resolves this once
         at construction and hands the policy down to every controller."""
         from repro.coherence.policy import resolve_policy
         return resolve_policy(self.protocol, self.ghostwriter.enabled)
 
     def with_ghostwriter(
-        self, *, enabled: bool | None = None, d_distance: int | None = None,
-        gi_timeout: int | None = None,
+        self, *, d_distance: int | None = None, gi_timeout: int | None = None,
     ) -> "SimConfig":
-        """Copy with updated Ghostwriter knobs (sweep helper)."""
+        """Copy with updated Ghostwriter knobs (sweep helper);
+        ``d_distance=0`` is the precise machine."""
         gw = self.ghostwriter
-        return replace(
-            self,
-            ghostwriter=GhostwriterConfig(
-                enabled=gw.enabled if enabled is None else enabled,
-                d_distance=gw.d_distance if d_distance is None else d_distance,
-                gi_timeout=gw.gi_timeout if gi_timeout is None else gi_timeout,
-                similarity_mode=gw.similarity_mode,
-                approx_write_budget=gw.approx_write_budget,
-                gs_fallback_getx=gw.gs_fallback_getx,
-            ),
-        )
+        if d_distance is not None:
+            gw = replace(gw, d_distance=d_distance)
+        if gi_timeout is not None:
+            gw = replace(gw, gi_timeout=gi_timeout)
+        return replace(self, ghostwriter=gw)
 
     def with_cores(self, num_cores: int) -> "SimConfig":
         """Copy with a different core count (thread-sweep helper)."""
@@ -528,7 +526,6 @@ def default_config() -> SimConfig:
 def small_config(
     num_cores: int = 4,
     *,
-    enabled: bool = True,
     d_distance: int = 4,
     gi_timeout: int = 1024,
     core_quantum: int = 8,
@@ -537,6 +534,7 @@ def small_config(
 
     Keeps the paper's structure (2-way L1, 8-way shared L2, mesh with
     corner directories) at a size where unit tests can exercise evictions.
+    ``d_distance=0`` builds the precise machine.
     """
     cols = max(2, min(num_cores, 4))
     rows = -(-num_cores // cols)
@@ -547,9 +545,8 @@ def small_config(
         l2=CacheConfig(4096, 8, 64, 10),
         noc=NocConfig(mesh_cols=cols, mesh_rows=rows),
         dram=DramConfig(access_latency=60),
-        ghostwriter=GhostwriterConfig(
-            enabled=enabled, d_distance=d_distance, gi_timeout=gi_timeout
-        ),
+        ghostwriter=GhostwriterConfig(d_distance=d_distance,
+                                      gi_timeout=gi_timeout),
         core_quantum=core_quantum,
     )
 

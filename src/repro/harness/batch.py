@@ -68,9 +68,9 @@ def group_key(point: GridPoint):
 
     Two points share a group exactly when their kwargs agree on
     everything but ``d_distance``/``gi_timeout`` *and* they sit on the
-    same side of the approximation on/off switch (``d_distance == 0``
-    resolves a different effective protocol, so it never groups with
-    enabled lanes).
+    same side of ``d_distance == 0`` (the precise machine resolves a
+    different effective protocol, so it never groups with approximate
+    lanes).
     """
     kwargs = dict(point.kwargs)
     d = kwargs.get("d_distance")
@@ -96,9 +96,8 @@ def _lane_cfg(kwargs: dict):
     """The SimConfig :func:`~repro.harness.experiment.run_workload`
     would build for this point — the per-lane config shared lanes use
     to rebuild their own rows (protocol tag, energy model, d label)."""
-    d = kwargs["d_distance"]
     return experiment_config(
-        enabled=d > 0, d_distance=max(d, 1),
+        d_distance=kwargs["d_distance"],
         gi_timeout=kwargs.get("gi_timeout", 1024),
         num_cores=kwargs.get("num_threads", DEFAULT_THREADS),
         protocol=kwargs.get("protocol"),
@@ -122,10 +121,8 @@ def _rep_run(point: GridPoint) -> RepRun:
 def _shared_row(point: GridPoint, out: RepRun):
     """Rebuild a lane's ``RunRow`` from the representative's machine,
     under the lane's own config and d label."""
-    kwargs = dict(point.kwargs)
-    cfg = _lane_cfg(kwargs)
-    return row_from_result(point.workload, kwargs["d_distance"],
-                           out.result, cfg)
+    return row_from_result(point.workload, out.result,
+                           _lane_cfg(dict(point.kwargs)))
 
 
 def batch_fan_out(points, *, retry: RetryPolicy = RetryPolicy(),

@@ -243,10 +243,11 @@ def _run_figure(name, args, cache):
         return F.table2(args.threads)
     if name == "fig1":
         counts = tuple(t for t in (1, 2, 4, 8, 16, 24) if t <= args.threads)
-        return F.fig1(thread_counts=counts, seed=args.seed)
+        return F.fig1(thread_counts=counts, seed=args.seed,
+                      options=cache.options)
     if name == "fig2":
         return F.fig2(num_threads=args.threads, scale=args.scale,
-                      seed=args.seed)
+                      seed=args.seed, options=cache.options)
     if name == "fig7":
         return F.fig7(cache)
     if name == "fig8":

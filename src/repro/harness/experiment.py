@@ -34,20 +34,21 @@ DEFAULT_SCALE = 0.5
 WATCHDOG_INTERVAL = 100_000
 
 
-def experiment_config(*, enabled: bool, d_distance: int = 4,
-                      gi_timeout: int = 1024,
+def experiment_config(*, d_distance: int, gi_timeout: int = 1024,
                       num_cores: int = DEFAULT_THREADS,
                       protocol: str | None = None,
                       topology: str | None = None,
                       options: RunOptions | None = None) -> SimConfig:
     """The scaled experiment machine (see module docstring).
 
+    ``d_distance`` says whether and how far the machine approximates:
+    0 is the precise machine (the paper's "d = 0" baseline bars).
     Run-shaping knobs — invariant checking, fault injection, event
     tracing, the coherence ``protocol``, the NoC ``topology`` — come in
     through ``options`` (:class:`RunOptions`).  An explicit
     ``protocol``/``topology`` argument overrides the matching
     ``options`` field; a protocol name means exactly its registry entry,
-    and ``enabled=False`` strips its approximate states.  The default
+    and ``d_distance=0`` strips its approximate states.  The default
     mesh at paper core counts is Table 1's machine exactly; a
     non-default topology — or more cores than the 6x4 mesh holds —
     rebuilds the NoC through
@@ -65,9 +66,8 @@ def experiment_config(*, enabled: bool, d_distance: int = 4,
     # with the self-limiting scribble-fallback semantics the approximate
     # dynamics do not depend on cache-capacity pressure, so no scaling of
     # the hierarchy is needed despite the scaled-down inputs.
-    cfg = default_config().with_ghostwriter(
-        enabled=enabled, d_distance=d_distance, gi_timeout=gi_timeout,
-    )
+    cfg = default_config().with_ghostwriter(d_distance=d_distance,
+                                            gi_timeout=gi_timeout)
     # noc and num_cores must land in the same replace: validation runs
     # per replace, and a non-default topology sized for few cores would
     # reject Table 1's 24 cores (and vice versa) mid-update
@@ -88,7 +88,9 @@ class RunRow:
     """Everything the figure drivers need from one run."""
 
     workload: str
-    d_distance: int           # 0 encodes "baseline MESI" (Fig. 8 x-axis)
+    #: the machine's d-distance; 0 is the precise baseline (the Fig. 8
+    #: x-axis "d = 0" bars)
+    d_distance: int
     cycles: int
     error_pct: float
     energy: EnergyReport
@@ -148,19 +150,13 @@ class RunRow:
         return 1000.0 * self.gi_flashes / self.cycles if self.cycles else 0.0
 
 
-def row_from_result(name: str, d_label: int, result: WorkloadResult,
+def row_from_result(name: str, result: WorkloadResult,
                     cfg: SimConfig) -> RunRow:
     """Summarize a finished run into the :class:`RunRow` the figures use.
 
-    ``d_label`` is the row's reported d-distance (0 encodes the MESI
-    baseline even though the machine ran with ``d_distance=1`` disabled);
-    ``cfg`` supplies the protocol tag and the energy model parameters.
+    ``cfg`` is the config the row is reported under: it supplies the
+    row's d-distance, the protocol tag and the energy model parameters.
     """
-    return _row_from_result(name, d_label, result, cfg)
-
-
-def _row_from_result(name: str, d_label: int, result: WorkloadResult,
-                     cfg: SimConfig) -> RunRow:
     machine = result.machine
     l1 = result.stats.child("l1")
     noc = result.stats.child("noc")
@@ -172,7 +168,7 @@ def _row_from_result(name: str, d_label: int, result: WorkloadResult,
         obs=ObsCapture.from_machine(machine),
         protocol=cfg.protocol,
         workload=name,
-        d_distance=d_label,
+        d_distance=cfg.ghostwriter.d_distance,
         cycles=result.cycles,
         error_pct=result.error_pct,
         energy=energy,
@@ -211,7 +207,7 @@ def run_workload(name: str, *, d_distance: int,
         seed=seed, gi_timeout=gi_timeout, protocol=protocol,
         topology=topology, options=options, **workload_kwargs,
     )
-    return _row_from_result(name, d_distance, result, cfg)
+    return row_from_result(name, result, cfg)
 
 
 def run_workload_result(
@@ -228,11 +224,9 @@ def run_workload_result(
     run into many lanes' rows) can inspect it before
     :func:`row_from_result` summarizes it away.
     """
-    enabled = d_distance > 0
     cfg = experiment_config(
-        enabled=enabled, d_distance=max(d_distance, 1),
-        gi_timeout=gi_timeout, num_cores=num_threads, protocol=protocol,
-        topology=topology, options=options,
+        d_distance=d_distance, gi_timeout=gi_timeout, num_cores=num_threads,
+        protocol=protocol, topology=topology, options=options,
     )
     w = create(name, num_threads=num_threads, seed=seed, scale=scale,
                **workload_kwargs)

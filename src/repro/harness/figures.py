@@ -18,11 +18,14 @@ from repro.common.config import default_config, table1_rows
 from repro.common.types import MessageClass
 from repro.harness.experiment import (
     DEFAULT_SCALE, DEFAULT_THREADS, RunRow, experiment_config,
+    run_workload_result,
 )
 from repro.harness.options import RunOptions
 from repro.harness.parallel import GridFailure, GridPoint, run_grid
-from repro.workloads.base import WorkloadResult
-from repro.workloads.registry import PAPER_WORKLOADS, create, table2_rows
+from repro.harness.sweeps import (
+    SweepResult, sweep_protocols, sweep_threads, sweep_topology_scale,
+)
+from repro.workloads.registry import PAPER_WORKLOADS, table2_rows
 
 __all__ = [
     "SweepCache", "fig1", "fig2", "fig7", "fig8", "fig9", "fig10",
@@ -47,6 +50,17 @@ def _fmt_table(headers: list[str], rows: list[list[str]]) -> str:
     out = [line(headers), line(["-" * w for w in widths])]
     out.extend(line(r) for r in rows)
     return "\n".join(out)
+
+
+def _ok(result: SweepResult, figure: str) -> SweepResult:
+    """``result``, or ``RuntimeError`` naming its first failed point."""
+    failed = result.failures()
+    if failed:
+        value, failure = failed[0]
+        raise RuntimeError(
+            f"{figure} point {value!r} failed: {failure.render()}"
+        )
+    return result
 
 
 class SweepCache:
@@ -185,25 +199,23 @@ class Fig1Result:
 
 
 def fig1(thread_counts=(1, 2, 4, 8, 16, 24), n_points: int = 4096,
-         seed: int = 12345) -> Fig1Result:
-    """Run the Listing-1/Listing-2 thread sweep on baseline MESI."""
-    def cycles(name: str, threads: int) -> int:
-        cfg = experiment_config(enabled=False, num_cores=max(threads, 1))
-        w = create(name, num_threads=threads, seed=seed, n_points=n_points,
-                   approximate=False) if name == "bad_dot_product" else \
-            create(name, num_threads=threads, seed=seed, n_points=n_points)
-        return w.run(cfg).cycles
+         seed: int = 12345, options: RunOptions | None = None) -> Fig1Result:
+    """Run the Listing-1/Listing-2 thread sweep on the precise machine.
 
-    naive, private = [], []
-    base_naive = base_private = None
-    for t in thread_counts:
-        cn = cycles("bad_dot_product", t)
-        cp = cycles("private_dot_product", t)
-        if t == thread_counts[0]:
-            base_naive, base_private = cn, cp
-        naive.append(base_naive / cn)
-        private.append(base_private / cp)
-    return Fig1Result(list(thread_counts), naive, private)
+    Each listing is one :func:`~repro.harness.sweeps.sweep_threads`
+    grid at ``d_distance=0``, so ``options`` shapes the machine
+    (protocol, topology, checks, faults) and says how the grid runs
+    (workers, backend, result store, resume).
+    """
+    def speedups(name: str, **kwargs) -> list[float]:
+        result = sweep_threads(name, thread_counts, d_distance=0, scale=1.0,
+                               seed=seed, options=options,
+                               n_points=n_points, **kwargs)
+        return _ok(result, "fig1").speedups_vs_first()
+
+    return Fig1Result(list(thread_counts),
+                      speedups("bad_dot_product", approximate=False),
+                      speedups("private_dot_product"))
 
 
 # ---------------------------------------------------------------------
@@ -233,17 +245,22 @@ class Fig2Result:
 
 
 def fig2(num_threads: int = DEFAULT_THREADS, scale: float = DEFAULT_SCALE,
-         seed: int = 12345) -> Fig2Result:
-    """Profile store-value similarity over every Table 2 app."""
+         seed: int = 12345, options: RunOptions | None = None) -> Fig2Result:
+    """Profile store-value similarity over every Table 2 app.
+
+    Each app runs once on the precise machine (``d_distance=0``) under
+    ``options``.  The profile is read from the live machine, so these
+    runs take no worker pool or result store.
+    """
     profiles: dict[str, SimilarityProfile] = {}
     suites: dict[str, list[str]] = {}
-    cfg = experiment_config(enabled=False, num_cores=num_threads)
     for app, cls in PAPER_WORKLOADS.items():
-        w = create(app, num_threads=num_threads, scale=scale, seed=seed)
-        result: WorkloadResult = w.run(cfg)
+        result, _cfg = run_workload_result(
+            app, d_distance=0, num_threads=num_threads, scale=scale,
+            seed=seed, options=options)
         hist = machine_store_histogram(result.machine)
         profiles[app] = SimilarityProfile(app, hist)
-        suites.setdefault(w.suite, []).append(app)
+        suites.setdefault(cls.suite, []).append(app)
     return Fig2Result(profiles, suites)
 
 
@@ -555,19 +572,12 @@ def fig_protocols(protocols=None, *, d_distance: int = 4,
     Approximation-capable variants run at ``d_distance``; precise ones
     run at ``d=0`` (see :func:`repro.harness.sweeps.sweep_protocols`).
     """
-    from repro.harness.sweeps import sweep_protocols
-
     result = sweep_protocols(
         "bad_dot_product", protocols, d_distance=d_distance,
         num_threads=num_threads, seed=seed, options=options,
         n_points=n_points, max_value=3,
     )
-    failed = result.failures()
-    if failed:
-        name, failure = failed[0]
-        raise RuntimeError(
-            f"protocol figure point {name!r} failed: {failure.render()}"
-        )
+    _ok(result, "protocol figure")
     return FigProtocolsResult(list(result.values), list(result.rows))
 
 
@@ -612,22 +622,15 @@ def fig_topology(topologies=None, core_counts=(24, 64, 128, 256), *,
     flit traffic — how the protocol's staleness/effectiveness shifts as
     the directory moves further away.
     """
-    from repro.harness.sweeps import sweep_topology_scale
-
     result = sweep_topology_scale(
         "bad_dot_product", topologies, core_counts, d_distance=d_distance,
         gi_timeout=gi_timeout, seed=seed, options=options,
         n_points=n_points, max_value=3,
     )
-    failed = result.failures()
-    if failed:
-        value, failure = failed[0]
-        raise RuntimeError(
-            f"topology figure point {value!r} failed: {failure.render()}"
-        )
+    _ok(result, "topology figure")
     dir_hops = []
     for topo, cores in result.values:
-        cfg = experiment_config(enabled=True, d_distance=d_distance,
+        cfg = experiment_config(d_distance=d_distance,
                                 gi_timeout=gi_timeout, num_cores=cores,
                                 topology=topo, options=options)
         dir_hops.append(cfg.noc.topo.mean_directory_hops())

@@ -42,9 +42,6 @@ class RunOptions:
     trace_events: bool = False
     #: Timeline sampling period in cycles; 0 disables sampling.
     timeline_interval: int = 0
-    #: Flight-recorder ring depth; 0 defers to ObsConfig's default
-    #: (armed automatically whenever ``trace_events`` is on).
-    flight_recorder: int = 0
     #: Coherence protocol variant, one of
     #: :func:`repro.coherence.policy.available_protocols`.
     protocol: str = "ghostwriter"
@@ -62,8 +59,6 @@ class RunOptions:
     #: (worker death, timeout, crash under injected faults); permanent
     #: failures — DeadlockError, ProtocolError — never retry.
     point_retries: int = 0
-    #: Base of the exponential retry backoff, in seconds.
-    point_backoff: float = 0.25
     #: NoC topology of the simulated machine, one of
     #: :func:`repro.noc.topologies.available_topologies` ("mesh" — the
     #: paper's 6x4 2D mesh — "ring", "crossbar", "chiplet").  The
@@ -102,10 +97,10 @@ class RunOptions:
         if self.backend == "batch" and self.jobs > 1:
             raise ValueError("the batch backend runs in one process; "
                              "it takes no jobs > 1")
-        if self.timeline_interval < 0 or self.flight_recorder < 0:
-            raise ValueError("obs intervals/depths cannot be negative")
-        if self.point_timeout < 0 or self.point_backoff < 0:
-            raise ValueError("point timeout/backoff cannot be negative")
+        if self.timeline_interval < 0:
+            raise ValueError("timeline_interval cannot be negative")
+        if self.point_timeout < 0:
+            raise ValueError("point_timeout cannot be negative")
         if self.point_retries < 0:
             raise ValueError("point_retries cannot be negative")
         # registry import is deferred so options stays importable from
@@ -129,8 +124,7 @@ class RunOptions:
     @property
     def tracing(self) -> bool:
         """True when this run produces any observability capture."""
-        return (self.trace_events or self.timeline_interval > 0
-                or self.flight_recorder > 0)
+        return self.trace_events or self.timeline_interval > 0
 
     def replace(self, **changes: Any) -> "RunOptions":
         """A copy with the given fields changed."""
@@ -149,6 +143,5 @@ class RunOptions:
     def obs_config(self) -> ObsConfig:
         """The ObsConfig these options imply."""
         return ObsConfig(trace_events=self.trace_events,
-                         timeline_interval=self.timeline_interval,
-                         flight_recorder=self.flight_recorder)
+                         timeline_interval=self.timeline_interval)
 

@@ -699,8 +699,7 @@ def retry_from_options(options: RunOptions) -> RetryPolicy:
     """The :class:`RetryPolicy` a ``RunOptions`` implies (the defaults
     imply :class:`RetryPolicy()`: no retries, no timeout)."""
     return RetryPolicy(retries=options.point_retries,
-                       timeout=options.point_timeout,
-                       backoff_base=options.point_backoff)
+                       timeout=options.point_timeout)
 
 
 def _point_traced(point: GridPoint) -> bool:
@@ -733,7 +732,7 @@ def run_grid(points: Sequence[GridPoint], *,
 
     ``options`` says how the grid runs: ``jobs`` worker processes, the
     ``backend``, the per-point retry policy (``point_retries`` /
-    ``point_timeout`` / ``point_backoff``) and durability.  A ``store``
+    ``point_timeout``) and durability.  A ``store``
     path turns on the content-addressed result store: committed points
     are served without re-running when ``options.resume`` is true, and
     every finalized point commits atomically as it lands.  ``store=``

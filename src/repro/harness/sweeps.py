@@ -114,7 +114,7 @@ def sweep_d_distance(workload: str, d_values: Sequence[int] = (0, 2, 4, 8, 16),
                      options: RunOptions | None = None,
                      **kwargs) -> SweepResult:
     """Accuracy/benefit trade-off curve over the d-distance knob
-    (``d=0`` runs baseline MESI)."""
+    (``d=0`` is the precise machine)."""
     points = [
         GridPoint(workload, dict(d_distance=d, num_threads=num_threads,
                                  scale=scale, seed=seed, **kwargs),
@@ -128,7 +128,9 @@ def sweep_threads(workload: str, thread_counts: Sequence[int] = (1, 2, 4, 8),
                   *, d_distance: int = 0, scale: float = DEFAULT_SCALE,
                   seed: int = 12345, options: RunOptions | None = None,
                   **kwargs) -> SweepResult:
-    """Scalability curve (the Fig. 1 methodology, for any workload)."""
+    """Scalability curve: the Fig. 1 methodology for any workload
+    (:func:`~repro.harness.figures.fig1` is two of these at the default
+    ``d_distance=0``, the precise machine)."""
     points = [
         GridPoint(workload, dict(d_distance=d_distance, num_threads=t,
                                  scale=scale, seed=seed, **kwargs),

@@ -8,7 +8,8 @@ two narrow interfaces:
 * ``d_distance`` is consumed **only** by the scribe comparator
   (:meth:`repro.scribe.scribe_unit.ScribeUnit.check`, reached from the
   three scribble sites in :mod:`repro.cache.l1`) after the workload
-  programs it via ``SetAprx``;
+  programs it via ``SetAprx`` (``d_distance=0`` is the precise machine,
+  a different policy, so it never shares a group with ``d > 0`` lanes);
 * ``gi_timeout`` is consumed **only** when an L1 arms the GI
   flash-invalidate timer (``L1Controller._enter_gi``).
 

@@ -423,8 +423,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     cfg = experiment_config(
-        enabled=args.d_distance > 0,
-        d_distance=max(args.d_distance, 1),
+        d_distance=args.d_distance,
         num_cores=args.num_threads,
         protocol=args.protocol,
         topology=args.topology,
@@ -432,8 +431,7 @@ def main(argv=None) -> int:
     cfg = replace(cfg, verify=replace(
         cfg.verify, checkpoint_period=args.checkpoint_period))
     workload = create(args.workload, num_threads=args.num_threads,
-                      d_distance=args.d_distance, seed=args.seed,
-                      scale=args.scale)
+                      seed=args.seed, scale=args.scale)
     machine = workload.prepare(cfg)
     machine.run()
     workload.collect(machine, cfg)

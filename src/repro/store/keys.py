@@ -54,8 +54,8 @@ CODE_VERSION = _code_version()
 #: retry knobs must not invalidate their own cache.
 EXECUTION_FIELDS = frozenset({
     "jobs", "store", "resume",
-    "point_timeout", "point_retries", "point_backoff",
-    "trace_events", "timeline_interval", "flight_recorder",
+    "point_timeout", "point_retries",
+    "trace_events", "timeline_interval",
     # the batch backend is bit-identical to serial by construction (and
     # by the differential suite), so a row computed either way satisfies
     # a lookup from the other

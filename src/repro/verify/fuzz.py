@@ -188,10 +188,11 @@ def generate_trace(seed: int, *, num_cores: int = 3, ops_per_core: int = 24,
 def _trace_config(trace: FuzzTrace, *, protocol: str, gw: bool,
                   jitter: int, monitor_period: int,
                   core_quantum: int) -> SimConfig:
-    """The small machine every backend runs a trace on."""
+    """The small machine every backend runs a trace on; ``gw=False`` is
+    the precise machine (``d_distance=0``)."""
     cfg = small_config(
-        num_cores=max(2, trace.num_cores), enabled=gw,
-        d_distance=trace.d_distance, gi_timeout=256,
+        num_cores=max(2, trace.num_cores),
+        d_distance=trace.d_distance if gw else 0, gi_timeout=256,
         core_quantum=core_quantum,
     )
     return dc_replace(

@@ -58,14 +58,17 @@ class Workload(abc.ABC):
     input_desc: str = "?"
     error_metric: str = "MPE"  # or "NRMSE"
 
-    def __init__(self, num_threads: int, d_distance: int = 4,
-                 seed: int = 12345, scale: float = 1.0) -> None:
+    #: d-distance the programs' ``SetAprx`` loads into the scribe units:
+    #: the bound machine's, set by :meth:`bind_program`
+    d_distance: int
+
+    def __init__(self, num_threads: int, seed: int = 12345,
+                 scale: float = 1.0) -> None:
         if num_threads < 1:
             raise ValueError("need at least one thread")
         if not 0.0 < scale <= 64.0:
             raise ValueError("scale out of range")
         self.num_threads = num_threads
-        self.d_distance = d_distance
         self.seed = seed
         self.scale = scale
         self.rng = np.random.default_rng(seed)
@@ -116,7 +119,11 @@ class Workload(abc.ABC):
         and the end-of-run side-effect replay.  Without a cache (direct
         instantiation, unhashable params, ``compile_programs`` off) this
         degrades to the plain generator path.
+
+        The machine config is the single source of truth for the
+        d-distance the programs program into the scribe units.
         """
+        self.d_distance = machine.cfg.ghostwriter.d_distance
         cache = getattr(self, "_program_cache", None)
         key_base = getattr(self, "_program_key", None)
         if (cache is None or key_base is None
@@ -126,8 +133,7 @@ class Workload(abc.ABC):
         # block size and d-distance shape the recorded op stream (block
         # alignment, the SetAprx operand); gi-timeout/protocol knobs do
         # not — cross-config divergence is caught by load validation
-        key = (*key_base, machine.cfg.block_bytes,
-               machine.cfg.ghostwriter.d_distance, tid)
+        key = (*key_base, machine.cfg.block_bytes, self.d_distance, tid)
         machine.add_thread(tid, ProgramSpec(factory, key, cache))
 
     # ------------------------------------------------------------------
@@ -152,9 +158,6 @@ class Workload(abc.ABC):
                 "(construct a fresh one per run)"
             )
         self._built = True
-        # the machine config is the single source of truth for the
-        # d-distance the programs program into the scribe units
-        self.d_distance = cfg.ghostwriter.d_distance
         machine = Machine(cfg)
         self.build(machine)
         return machine

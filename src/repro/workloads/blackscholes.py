@@ -59,10 +59,10 @@ class BlackScholes(Workload):
     domain = "Financial Analysis"
     error_metric = "MPE"
 
-    def __init__(self, num_threads: int, d_distance: int = 4,
-                 seed: int = 12345, scale: float = 1.0,
+    def __init__(self, num_threads: int, seed: int = 12345,
+                 scale: float = 1.0,
                  n_options: int = 2048) -> None:
-        super().__init__(num_threads, d_distance, seed, scale)
+        super().__init__(num_threads, seed, scale)
         self.n_options = self.scaled(n_options, minimum=num_threads)
         self.input_desc = f"{self.n_options} options"
         rng = self.rng

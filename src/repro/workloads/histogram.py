@@ -39,10 +39,10 @@ class Histogram(Workload):
     domain = "Image Processing"
     error_metric = "MPE"
 
-    def __init__(self, num_threads: int, d_distance: int = 4,
-                 seed: int = 12345, scale: float = 1.0,
+    def __init__(self, num_threads: int, seed: int = 12345,
+                 scale: float = 1.0,
                  n_pixels: int = 6144) -> None:
-        super().__init__(num_threads, d_distance, seed, scale)
+        super().__init__(num_threads, seed, scale)
         self.n_pixels = self.scaled(n_pixels, minimum=num_threads)
         self.input_desc = f"{self.n_pixels}-pixel RGB image"
         # smooth image: random walk per channel, clipped to bytes

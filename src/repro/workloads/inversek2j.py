@@ -58,10 +58,10 @@ class InverseK2J(Workload):
     domain = "Robotics"
     error_metric = "NRMSE"
 
-    def __init__(self, num_threads: int, d_distance: int = 4,
-                 seed: int = 12345, scale: float = 1.0,
+    def __init__(self, num_threads: int, seed: int = 12345,
+                 scale: float = 1.0,
                  n_points: int = 1536) -> None:
-        super().__init__(num_threads, d_distance, seed, scale)
+        super().__init__(num_threads, seed, scale)
         self.n_points = self.scaled(n_points, minimum=num_threads)
         self.input_desc = (
             f"{self.n_points} 2D targets x {_FRAMES} frames"

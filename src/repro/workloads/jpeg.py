@@ -88,10 +88,10 @@ class Jpeg(Workload):
     domain = "Image Compression"
     error_metric = "NRMSE"
 
-    def __init__(self, num_threads: int, d_distance: int = 4,
-                 seed: int = 12345, scale: float = 1.0,
+    def __init__(self, num_threads: int, seed: int = 12345,
+                 scale: float = 1.0,
                  image_edge: int = 48) -> None:
-        super().__init__(num_threads, d_distance, seed, scale)
+        super().__init__(num_threads, seed, scale)
         import math
         edge = self.scaled(image_edge, minimum=_T)
         # keep at least ~one tile per thread so the sharing structure

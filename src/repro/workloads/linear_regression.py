@@ -43,10 +43,10 @@ class LinearRegression(Workload):
     domain = "Machine Learning"
     error_metric = "MPE"
 
-    def __init__(self, num_threads: int, d_distance: int = 4,
-                 seed: int = 12345, scale: float = 1.0,
+    def __init__(self, num_threads: int, seed: int = 12345,
+                 scale: float = 1.0,
                  n_points: int = 12288, padded: bool = False) -> None:
-        super().__init__(num_threads, d_distance, seed, scale)
+        super().__init__(num_threads, seed, scale)
         #: pad each lreg_args struct to its own cache block — the classic
         #: source fix for the false sharing (and the layout §3.1's
         #: compiler padding would produce for annotated data)

@@ -30,11 +30,11 @@ class _DotProductBase(Workload):
     domain = "Microbenchmark"
     error_metric = "MPE"
 
-    def __init__(self, num_threads: int, d_distance: int = 4,
-                 seed: int = 12345, scale: float = 1.0,
+    def __init__(self, num_threads: int, seed: int = 12345,
+                 scale: float = 1.0,
                  n_points: int = 4096, approximate: bool = True,
                  max_value: int = 255, flush_before_collect: bool = True) -> None:
-        super().__init__(num_threads, d_distance, seed, scale)
+        super().__init__(num_threads, seed, scale)
         self.n_points = self.scaled(n_points, minimum=num_threads)
         self.approximate = approximate
         #: Listing 1 reads the totals straight after the loop, in the same

@@ -39,10 +39,10 @@ class Pca(Workload):
     domain = "Machine Learning"
     error_metric = "NRMSE"
 
-    def __init__(self, num_threads: int, d_distance: int = 4,
-                 seed: int = 12345, scale: float = 1.0,
+    def __init__(self, num_threads: int, seed: int = 12345,
+                 scale: float = 1.0,
                  n_rows: int = 48, n_cols: int = 24) -> None:
-        super().__init__(num_threads, d_distance, seed, scale)
+        super().__init__(num_threads, seed, scale)
         self.n_rows = self.scaled(n_rows, minimum=num_threads)
         self.n_cols = self.scaled(n_cols, minimum=4)
         self.input_desc = f"{self.n_rows}x{self.n_cols} matrix"

@@ -59,16 +59,16 @@ _PAPER_INPUTS = {
 }
 
 
-def create(name: str, num_threads: int, d_distance: int = 4,
-           seed: int = 12345, scale: float = 1.0, **kwargs) -> Workload:
-    """Instantiate a registered workload by name."""
+def create(name: str, num_threads: int, seed: int = 12345,
+           scale: float = 1.0, **kwargs) -> Workload:
+    """Instantiate a registered workload by name (its programs take the
+    d-distance of the machine they are bound to)."""
     cls = ALL_WORKLOADS.get(name)
     if cls is None:
         raise KeyError(
             f"unknown workload {name!r}; available: {sorted(ALL_WORKLOADS)}"
         )
-    w = cls(num_threads=num_threads, d_distance=d_distance, seed=seed,
-            scale=scale, **kwargs)
+    w = cls(num_threads=num_threads, seed=seed, scale=scale, **kwargs)
     # arm the program cache: the key base identifies the op stream up to
     # the per-machine knobs Workload.bind_program appends at bind time
     key = (name, num_threads, seed, scale, tuple(sorted(kwargs.items())))

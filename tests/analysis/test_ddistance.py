@@ -44,7 +44,7 @@ class TestProfile:
 
 class TestMachineHistogram:
     def test_merges_across_cores(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
 
         def w(tid):
             def prog():
@@ -58,7 +58,7 @@ class TestMachineHistogram:
         assert hist.as_dict() == {0: 2, 3: 2}
 
     def test_histogram_counts_every_store_with_resident_word(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
 
         def prog():
             yield Store(BLK, 1)   # tag miss: nothing resident, not counted

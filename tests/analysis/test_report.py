@@ -30,7 +30,7 @@ class TestFormatTable:
 
 class TestSummaries:
     def _machine(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
 
         def a():
             yield Store(BLK, 1)

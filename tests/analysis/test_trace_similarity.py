@@ -71,7 +71,7 @@ class TestCdf:
         from repro.trace.record import TraceRecorder
         from repro.workloads.registry import create
 
-        cfg = experiment_config(enabled=False, num_cores=4)
+        cfg = experiment_config(d_distance=0, num_cores=4)
         w = create("linear_regression", num_threads=4, scale=0.1)
         m = Machine(cfg)
         w.build(m)

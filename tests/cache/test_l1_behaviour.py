@@ -17,7 +17,7 @@ def _stride(machine):
 
 class TestEvictionProtocol:
     def test_clean_shared_eviction_prunes_directory(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
         stride = _stride(m)
 
         def a():
@@ -37,7 +37,7 @@ class TestEvictionProtocol:
         assert entry is not None and entry.sharers == {1}
 
     def test_exclusive_eviction_clears_directory(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
         stride = _stride(m)
 
         def a():
@@ -50,7 +50,7 @@ class TestEvictionProtocol:
         assert m.agents[m.cfg.home_directory(BLK)].peek_entry(BLK) is None
 
     def test_modified_eviction_data_survives(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
         stride = _stride(m)
         got = {}
 
@@ -70,7 +70,7 @@ class TestEvictionProtocol:
     def test_wb_buffer_serves_forward_race(self):
         """Another core's request forwarded to an owner that evicted the
         block mid-flight is served from the write-back buffer."""
-        m = build_machine(2, enabled=False, quantum=1)
+        m = build_machine(2, d_distance=0, quantum=1)
         stride = _stride(m)
         got = {}
 
@@ -93,7 +93,7 @@ class TestStrayMessages:
     def test_inv_after_eviction_is_acked(self):
         """INV arriving for a block we evicted (PUTS still queued) must be
         acknowledged unconditionally."""
-        m = build_machine(3, enabled=False, quantum=1)
+        m = build_machine(3, d_distance=0, quantum=1)
         stride = _stride(m)
 
         def a():
@@ -117,7 +117,7 @@ class TestStrayMessages:
 
 class TestInstrumentation:
     def test_fig2_histogram_collects_store_distances(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
 
         def a():
             yield Load(BLK)
@@ -130,7 +130,7 @@ class TestInstrumentation:
         assert hist.as_dict() == {0: 1, 1: 1, 3: 1}
 
     def test_miss_latency_accounted(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
 
         def a():
             yield Load(BLK)
@@ -211,7 +211,7 @@ class TestScribeProgramming:
         assert m.l1s[0].stats.gs_serviced == 0
 
     def test_gw_disabled_ignores_setaprx(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
 
         def a():
             yield SetAprx(8)

@@ -21,7 +21,7 @@ class _Harness:
     """MOESI directory agent + fake L1 inboxes (mirrors the MESI one)."""
 
     def __init__(self, num_cores=4):
-        self.cfg = replace(small_config(num_cores=num_cores, enabled=False),
+        self.cfg = replace(small_config(num_cores=num_cores, d_distance=0),
                            protocol="moesi")
         self.engine = Engine()
         self.backing = BackingStore(64)

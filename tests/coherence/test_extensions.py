@@ -21,7 +21,7 @@ BLK = 0x4000
 
 def _machine(num_cores=2, **gw_kwargs):
     cfg = small_config(num_cores=num_cores)
-    gw = GhostwriterConfig(enabled=True, d_distance=4, **gw_kwargs)
+    gw = GhostwriterConfig(d_distance=4, **gw_kwargs)
     return Machine(replace(cfg, ghostwriter=gw))
 
 
@@ -123,7 +123,7 @@ class TestApproxWriteBudget:
         from repro.workloads.registry import create
 
         def run(budget):
-            cfg = experiment_config(enabled=True, d_distance=4,
+            cfg = experiment_config(d_distance=4,
                                     num_cores=8)
             cfg = replace(cfg, ghostwriter=replace(
                 cfg.ghostwriter, approx_write_budget=budget))

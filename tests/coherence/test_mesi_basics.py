@@ -11,7 +11,7 @@ BLK = 0x4000
 
 class TestSingleCore:
     def test_load_fills_exclusive(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
         seen = {}
 
         def prog():
@@ -22,7 +22,7 @@ class TestSingleCore:
         assert m.l1s[0].state_of(BLK) is CS.E
 
     def test_store_after_exclusive_load_is_silent_upgrade(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
 
         def prog():
             yield Load(BLK)
@@ -36,7 +36,7 @@ class TestSingleCore:
             .MessageClass.GETS] == 1
 
     def test_store_miss_goes_getx_to_m(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
 
         def prog():
             yield Store(BLK, 42)
@@ -46,7 +46,7 @@ class TestSingleCore:
         assert m.l1s[0].peek_word(BLK) == 42
 
     def test_load_returns_initialized_memory(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
         m.backing.store_word(BLK + 8, 1234)
         seen = {}
 
@@ -57,7 +57,7 @@ class TestSingleCore:
         assert seen["v"] == 1234
 
     def test_dirty_eviction_writes_back(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
         cfg = m.cfg.l1
         stride = cfg.num_sets * cfg.block_bytes
 
@@ -73,7 +73,7 @@ class TestSingleCore:
         assert m.backing.load_word(BLK) == 77 or _in_l2(m, BLK, 77)
 
     def test_read_after_dirty_eviction_sees_value(self):
-        m = build_machine(1, enabled=False)
+        m = build_machine(1, d_distance=0)
         cfg = m.cfg.l1
         stride = cfg.num_sets * cfg.block_bytes
         seen = {}
@@ -97,7 +97,7 @@ def _in_l2(m, addr, value):
 
 class TestTwoCores:
     def test_shared_reads_both_s(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
         m.backing.store_word(BLK, 5)
         got = []
 
@@ -114,7 +114,7 @@ class TestTwoCores:
         assert m.l1s[1].state_of(BLK) is CS.S
 
     def test_store_invalidates_sharer(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
         rec = TraceRecorder()
         rec.attach(m)
 
@@ -131,7 +131,7 @@ class TestTwoCores:
         assert m.l1s[1].state_of(BLK) is CS.M
 
     def test_migratory_ownership_transfer(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
         seen = {}
 
         def first():
@@ -149,7 +149,7 @@ class TestTwoCores:
         assert m.l1s[0].state_of(BLK) is CS.I
 
     def test_write_write_transfer_fwd_getx(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
         seen = {}
 
         def first():
@@ -167,7 +167,7 @@ class TestTwoCores:
         assert m.l1s[1].state_of(BLK) is CS.M
 
     def test_last_writer_wins_in_memory(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
 
         def w(delay, val):
             def prog():
@@ -185,7 +185,7 @@ class TestExactnessWithoutApprox:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_parallel_accumulate_exact(self, threads):
-        m = build_machine(max(threads, 2), enabled=False)
+        m = build_machine(max(threads, 2), d_distance=0)
         base = 0x8000
         n_iters = 40
         done = m.barrier(threads)

@@ -43,7 +43,7 @@ class TestBaselineMigratory:
     def test_epoch2_load_misses(self):
         """Fig. 4a: core 1's UPGRADE invalidates core 0, whose epoch-2
         load becomes a coherence miss."""
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
         got = {}
         run_scripts(m, *_migratory_scripts(False, got))
         assert got["c0_load"] == 0xA
@@ -55,7 +55,7 @@ class TestBaselineMigratory:
         assert m.l1s[1].state_of(BLK) is CS.S
 
     def test_correct_values_both_offsets(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
         got = {}
         run_scripts(m, *_migratory_scripts(False, got))
         # coherent block now holds both writes
@@ -88,7 +88,7 @@ class TestGhostwriterMigratory:
         assert m.l1s[0].peek_word(BLK + 4) == 0     # global view: stale
 
     def test_traffic_reduced_vs_baseline(self):
-        base = build_machine(2, enabled=False)
+        base = build_machine(2, d_distance=0)
         gw = build_machine(2, d_distance=4)
         g1, g2 = {}, {}
         run_scripts(base, *_migratory_scripts(False, g1))
@@ -136,7 +136,7 @@ class TestRepeatedMigratory:
                 return prog()
             return worker(0), worker(1)
 
-        base = build_machine(2, enabled=False)
+        base = build_machine(2, d_distance=0)
         run_scripts(base, *scripts(base))
         gw = build_machine(2, d_distance=4)
         run_scripts(gw, *scripts(gw))

@@ -207,15 +207,14 @@ class TestMoesiStress:
     @given(progs=st.lists(st.lists(op_strategy, max_size=25),
                           min_size=2, max_size=4))
     def test_random_traces_consistent(self, progs):
-        _run_program(progs, len(progs), enabled=True,
-                     protocol="ghostwriter-moesi")
+        _run_program(progs, len(progs), protocol="ghostwriter-moesi")
 
     @settings(max_examples=20, deadline=None)
     @given(progs=st.lists(st.lists(op_strategy, max_size=25),
                           min_size=2, max_size=4))
     def test_baseline_loads_never_see_garbage(self, progs):
         _m, written, _last, loads = _run_program(
-            progs, len(progs), enabled=False, protocol="moesi"
+            progs, len(progs), d_distance=0, protocol="moesi"
         )
         for addr, value in loads:
             assert value in written.get(addr, set()) | {0}
@@ -226,7 +225,7 @@ class TestMoesiStress:
         from repro.workloads.registry import create
 
         cfg = replace(
-            experiment_config(enabled=False, num_cores=8),
+            experiment_config(d_distance=0, num_cores=8),
             protocol="moesi",
         )
         w = create("linear_regression", num_threads=8, scale=0.15)

@@ -122,7 +122,7 @@ class TestConfigIntegration:
             replace(small_config(), protocol="dragon")
 
     def test_config_policy_property(self):
-        cfg = small_config(enabled=True)
+        cfg = small_config(d_distance=4)
         assert cfg.protocol == "ghostwriter"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -55,7 +55,7 @@ class TestGiProducerConsumer:
         assert counts[MessageClass.GETX] == 2  # core1's initial M + core0's
 
     def test_baseline_needs_extra_getx(self):
-        m = build_machine(3, enabled=False)
+        m = build_machine(3, d_distance=0)
         got = {}
         run_scripts(m, *_fig5_scripts(m, got, use_scribble=False))
         counts = m.network.class_counts()

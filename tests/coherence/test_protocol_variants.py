@@ -24,8 +24,8 @@ from tests.conftest import run_scripts
 BLK = 0x4000
 
 
-def _machine(protocol, *, enabled, gi_timeout=1024, monitor_period=64):
-    cfg = small_config(num_cores=2, enabled=enabled, d_distance=4,
+def _machine(protocol, *, d_distance=4, gi_timeout=1024, monitor_period=64):
+    cfg = small_config(num_cores=2, d_distance=d_distance,
                        gi_timeout=gi_timeout, core_quantum=8)
     return Machine(replace(
         cfg, protocol=protocol,
@@ -37,7 +37,7 @@ class TestUpdateHybrid:
     def test_store_on_shared_line_pushes_update(self):
         """With another sharer present, a store publishes by UPDATE:
         both copies end shared with the new value, no invalidation."""
-        m = _machine("update-hybrid", enabled=False)
+        m = _machine("update-hybrid", d_distance=0)
 
         def writer():
             yield Load(BLK)
@@ -63,7 +63,7 @@ class TestUpdateHybrid:
     def test_sole_sharer_store_takes_plain_upgrade(self):
         """No other sharers: the store falls through to the normal
         pure-upgrade M grant (no UPDATE messages at all)."""
-        m = _machine("update-hybrid", enabled=False)
+        m = _machine("update-hybrid", d_distance=0)
 
         def writer():
             yield Load(BLK)
@@ -85,7 +85,7 @@ class TestUpdateHybrid:
         """A pushed UPDATE lands on a GS copy: the divergent local data
         is forfeited and the copy re-coheres to S with the pushed value
         (the table's GS + Update -> S row)."""
-        m = _machine("update-hybrid", enabled=True)
+        m = _machine("update-hybrid")
 
         def writer():
             yield Load(BLK)
@@ -112,7 +112,7 @@ class TestSelfInvalidate:
         """The INV from a remote store turns GS into GI: the stale copy
         survives locally (still readable) until the GI timeout drops it
         to I — no immediate invalidation."""
-        m = _machine("self-invalidate", enabled=True, gi_timeout=400)
+        m = _machine("self-invalidate", gi_timeout=400)
         seen = {}
 
         def scribbler():

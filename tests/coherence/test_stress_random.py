@@ -41,9 +41,9 @@ def _addr(word_choice: int, tid: int) -> int:
     return BASE + block + off
 
 
-def _run_program(ops_per_thread, n_threads, enabled, quantum=2,
+def _run_program(ops_per_thread, n_threads, quantum=2,
                  d_distance=4, protocol="ghostwriter"):
-    m = build_machine(max(2, n_threads), enabled=enabled,
+    m = build_machine(max(2, n_threads),
                       d_distance=d_distance, quantum=quantum,
                       gi_timeout=512, protocol=protocol)
     written: dict[int, set[int]] = {}
@@ -86,7 +86,7 @@ def _run_program(ops_per_thread, n_threads, enabled, quantum=2,
 )
 def test_random_traces_complete_and_stay_consistent(progs):
     """Ghostwriter enabled: must always terminate with consistent state."""
-    _run_program(progs, len(progs), enabled=True)
+    _run_program(progs, len(progs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -98,7 +98,7 @@ def test_random_traces_complete_and_stay_consistent(progs):
 def test_baseline_loads_never_see_garbage(progs):
     """Ghostwriter disabled: every loaded value was written by someone
     (or is the initial zero)."""
-    m, written, _last, loads = _run_program(progs, len(progs), enabled=False)
+    m, written, _last, loads = _run_program(progs, len(progs), d_distance=0)
     for addr, value in loads:
         legal = written.get(addr, set()) | {0}
         assert value in legal, (
@@ -116,7 +116,7 @@ def test_baseline_loads_never_see_garbage(progs):
 def test_baseline_single_writer_words_exact(progs):
     """Words only ever written by one thread (the private-word pattern)
     must end with that thread's final value in the coherent view."""
-    m, written, last_write, _ = _run_program(progs, len(progs), enabled=False)
+    m, written, last_write, _ = _run_program(progs, len(progs), d_distance=0)
     # figure out which addresses were written by exactly one thread
     writers: dict[int, set[int]] = {}
     for tid, ops in enumerate(progs):
@@ -158,7 +158,7 @@ def _coherent_word(m, addr: int) -> int:
 )
 def test_quantum_does_not_break_protocol(progs, quantum):
     """The hit-batching quantum changes timing but never correctness."""
-    _run_program(progs, len(progs), enabled=True, quantum=quantum)
+    _run_program(progs, len(progs), quantum=quantum)
 
 
 @settings(max_examples=15, deadline=None)
@@ -169,9 +169,9 @@ def test_quantum_does_not_break_protocol(progs, quantum):
     d=st.sampled_from([0, 4, 8, 16, 32]),
 )
 def test_any_d_distance_terminates(progs, d):
-    """All d-distance settings (including the degenerate 0 and 32) leave
-    the protocol consistent."""
-    _run_program(progs, len(progs), enabled=True, d_distance=d)
+    """All d-distance settings (0, the precise machine, through the
+    degenerate 32) leave the protocol consistent."""
+    _run_program(progs, len(progs), d_distance=d)
 
 
 @settings(max_examples=12, deadline=None)
@@ -190,7 +190,7 @@ def test_write_budget_never_breaks_protocol(progs, budget):
 
     cfg = small_config(num_cores=max(2, len(progs)), core_quantum=2)
     cfg = replace(cfg, ghostwriter=GhostwriterConfig(
-        enabled=True, d_distance=4, gi_timeout=512,
+        d_distance=4, gi_timeout=512,
         approx_write_budget=budget,
     ))
     m = Machine(cfg)
@@ -233,7 +233,7 @@ def test_similarity_modes_never_break_protocol(progs, mode):
 
     cfg = small_config(num_cores=max(2, len(progs)), core_quantum=2)
     cfg = replace(cfg, ghostwriter=GhostwriterConfig(
-        enabled=True, d_distance=4, gi_timeout=512, similarity_mode=mode,
+        d_distance=4, gi_timeout=512, similarity_mode=mode,
     ))
     m = Machine(cfg)
 

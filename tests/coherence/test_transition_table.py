@@ -81,7 +81,7 @@ _CASES = [
 )
 def test_local_access_transitions(protocol, row):
     pol = get_protocol(protocol)
-    m = build_machine(2, enabled=pol.approx, d_distance=4,
+    m = build_machine(2, d_distance=4 if pol.approx else 0,
                       gi_timeout=100_000, protocol=protocol)
     observed = {}
 

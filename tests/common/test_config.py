@@ -107,7 +107,7 @@ class TestSimConfig:
         assert "Mesh Corners" in rows["Network"]
 
     def test_table1_baseline_row(self):
-        cfg = default_config().with_ghostwriter(enabled=False)
+        cfg = default_config().with_ghostwriter(d_distance=0)
         assert dict(table1_rows(cfg))["Coherence"] == "Baseline MESI"
 
     def test_with_ghostwriter_sweep(self):

@@ -34,12 +34,12 @@ class TraceRecorder:
         return (old, new) in self.transitions(node)
 
 
-def build_machine(num_cores: int = 2, *, enabled: bool = True,
-                  d_distance: int = 4, gi_timeout: int = 1024,
+def build_machine(num_cores: int = 2, *, d_distance: int = 4,
+                  gi_timeout: int = 1024,
                   quantum: int = 8, protocol: str = "ghostwriter") -> Machine:
     from dataclasses import replace
     cfg = small_config(
-        num_cores=num_cores, enabled=enabled, d_distance=d_distance,
+        num_cores=num_cores, d_distance=d_distance,
         gi_timeout=gi_timeout, core_quantum=quantum,
     )
     return Machine(replace(cfg, protocol=protocol))
@@ -74,7 +74,7 @@ def machine4():
 
 @pytest.fixture
 def baseline2():
-    return build_machine(2, enabled=False)
+    return build_machine(2, d_distance=0)
 
 
 __all__ = [

@@ -77,7 +77,7 @@ def _run(name, *, lane, d=4, protocol=None, seed=SEED, warm=True):
         name, d_distance=d, num_threads=THREADS, seed=seed,
         protocol=protocol, options=opts, **_sizing(name),
     )
-    row = row_from_result(name, d, result, cfg)
+    row = row_from_result(name, result, cfg)
     m = result.machine
     from repro.sim.state import fingerprint_payload
 
@@ -138,8 +138,8 @@ def test_tracing_forces_scalar_path_with_identical_rows(tiny_min_run):
     result_off, cfg_off = run_workload_result(
         "bad_dot_product", d_distance=4, num_threads=THREADS, seed=SEED,
         options=off, **_sizing("bad_dot_product"))
-    row_on = row_from_result("bad_dot_product", 4, result_on, cfg_on)
-    row_off = row_from_result("bad_dot_product", 4, result_off, cfg_off)
+    row_on = row_from_result("bad_dot_product", result_on, cfg_on)
+    row_off = row_from_result("bad_dot_product", result_off, cfg_off)
     assert row_on == row_off
     assert row_on.obs is not None
     assert np.array_equal(np.asarray(result_on.output),
@@ -240,7 +240,7 @@ def test_random_compiled_streams_replay_identically(draw_ops, quantum, gw):
     saved = hitrun.MIN_RUN
     hitrun.MIN_RUN = 1
     try:
-        base = small_config(num_cores=1, enabled=gw, d_distance=6,
+        base = small_config(num_cores=1, d_distance=6 if gw else 0,
                             core_quantum=quantum)
         on = _machine_state(replace(base, fast_lane=True), prog)
         off = _machine_state(replace(base, fast_lane=False), prog)

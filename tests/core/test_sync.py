@@ -83,7 +83,7 @@ class TestLockUnit:
 
 class TestSyncInPrograms:
     def test_barrier_orders_phases(self):
-        m = build_machine(3, enabled=False)
+        m = build_machine(3, d_distance=0)
         b = m.barrier(3)
         got = {}
 
@@ -103,7 +103,7 @@ class TestSyncInPrograms:
         assert got["vals"] == [100, 101, 102]
 
     def test_lock_serializes_critical_section(self):
-        m = build_machine(4, enabled=False, quantum=1)
+        m = build_machine(4, d_distance=0, quantum=1)
         lk = m.lock()
         iters = 20
 

@@ -15,7 +15,7 @@ def _report(machine):
 
 class TestReport:
     def test_components_positive_after_run(self):
-        m = build_machine(2, enabled=False)
+        m = build_machine(2, d_distance=0)
 
         def a():
             for i in range(40):
@@ -56,9 +56,9 @@ class TestReport:
                 return prog()
             return w(0), w(1)
 
-        m1 = build_machine(2, enabled=False)
+        m1 = build_machine(2, d_distance=0)
         run_scripts(m1, *contended(m1))
-        m2 = build_machine(2, enabled=False)
+        m2 = build_machine(2, d_distance=0)
         run_scripts(m2, *private(m2))
         assert _report(m1).noc_pj > _report(m2).noc_pj
 

@@ -10,7 +10,7 @@ from repro.energy.accounting import EnergyReport
 
 class TestExperimentConfig:
     def test_matches_table1(self):
-        cfg = experiment_config(enabled=True, d_distance=8)
+        cfg = experiment_config(d_distance=8)
         assert cfg.num_cores == 24
         assert cfg.l1.size_bytes == 32 * 1024
         assert cfg.l2.size_bytes == 128 * 1024
@@ -18,11 +18,11 @@ class TestExperimentConfig:
         assert cfg.ghostwriter.enabled
 
     def test_baseline_flag(self):
-        cfg = experiment_config(enabled=False)
+        cfg = experiment_config(d_distance=0)
         assert not cfg.ghostwriter.enabled
 
     def test_timeout_and_cores_forwarded(self):
-        cfg = experiment_config(enabled=True, gi_timeout=128, num_cores=8)
+        cfg = experiment_config(d_distance=4, gi_timeout=128, num_cores=8)
         assert cfg.ghostwriter.gi_timeout == 128
         assert cfg.num_cores == 8
 

@@ -4,6 +4,9 @@ import pytest
 
 from repro.common.types import MessageClass
 from repro.harness import figures as F
+from repro.harness.experiment import run_workload
+from repro.harness.options import RunOptions
+from repro.workloads.base import Workload
 
 THREADS = 6
 SCALE = 0.12
@@ -13,6 +16,21 @@ SCALE = 0.12
 def cache():
     c = F.SweepCache(num_threads=THREADS, scale=SCALE, seed=99)
     return c
+
+
+@pytest.fixture
+def collected(monkeypatch):
+    """(check_invariants, policy base) of every run that reaches
+    ``Workload.collect``."""
+    seen = []
+    collect = Workload.collect
+
+    def spy(self, machine, cfg):
+        seen.append((cfg.verify.check_invariants, machine.policy.base))
+        return collect(self, machine, cfg)
+
+    monkeypatch.setattr(Workload, "collect", spy)
+    return seen
 
 
 class TestTables:
@@ -45,6 +63,31 @@ class TestFig1:
         assert res.private_speedup[-1] > 1.2
         assert "Fig. 1" in res.render()
 
+    def test_topology_option_shapes_the_machine(self):
+        ring = RunOptions(topology="ring")
+        res = F.fig1(thread_counts=(1, 4), n_points=512, seed=5, options=ring)
+
+        def cycles(name, threads, **kw):
+            return run_workload(name, d_distance=0, num_threads=threads,
+                                scale=1.0, seed=5, n_points=512,
+                                options=ring, **kw).cycles
+
+        naive = [cycles("bad_dot_product", t, approximate=False)
+                 for t in (1, 4)]
+        private = [cycles("private_dot_product", t) for t in (1, 4)]
+        assert res.naive_speedup == [1.0, naive[0] / naive[1]]
+        assert res.private_speedup == [1.0, private[0] / private[1]]
+        mesh = F.fig1(thread_counts=(1, 4), n_points=512, seed=5)
+        assert mesh.naive_speedup != res.naive_speedup
+
+    @pytest.mark.parametrize("options,seen", [
+        (RunOptions(check_invariants=False), (False, "mesi")),
+        (RunOptions(protocol="moesi"), (True, "moesi")),
+    ], ids=["check_invariants", "protocol"])
+    def test_options_reach_every_run(self, collected, options, seen):
+        F.fig1(thread_counts=(1, 2), n_points=256, seed=5, options=options)
+        assert collected == [seen] * 4
+
 
 class TestFig2:
     def test_profiles_cover_apps(self):
@@ -54,6 +97,11 @@ class TestFig2:
             assert prof.cdf[-1] == pytest.approx(1.0)
         assert 0.0 <= res.suite_average_within("Phoenix", 8) <= 1.0
         assert "Fig. 2" in res.render()
+
+    def test_check_invariants_option_reaches_every_run(self, collected):
+        F.fig2(num_threads=2, scale=0.05, seed=99,
+               options=RunOptions(check_invariants=False))
+        assert collected == [(False, "mesi")] * len(F.PAPER_WORKLOADS)
 
 
 class TestSweepFigures:

@@ -30,12 +30,12 @@ class TestRunOptions:
         with pytest.raises(ValueError):
             RunOptions(timeline_interval=-1)
         with pytest.raises(ValueError):
-            RunOptions(flight_recorder=-1)
+            RunOptions(point_timeout=-1)
 
     def test_tracing_property(self):
         assert RunOptions(trace_events=True).tracing
         assert RunOptions(timeline_interval=100).tracing
-        assert RunOptions(flight_recorder=8).tracing
+        assert not RunOptions().tracing
 
     def test_replace_returns_new_frozen_value(self):
         a = RunOptions()
@@ -52,8 +52,7 @@ class TestRunOptions:
     def test_derived_configs(self):
         opts = RunOptions(check_invariants=False, fault_rate=2.5,
                           fault_seed=7, fault_policy="recover",
-                          trace_events=True, timeline_interval=512,
-                          flight_recorder=32)
+                          trace_events=True, timeline_interval=512)
         v = opts.verify_config(watchdog_interval=1000)
         assert v.check_invariants is False
         assert v.watchdog_interval == 1000
@@ -61,7 +60,8 @@ class TestRunOptions:
         assert (f.cache_rate, f.seed, f.policy) == (2.5, 7, "recover")
         o = opts.obs_config()
         assert o.trace_events and o.timeline_interval == 512
-        assert o.flight_depth == 32
+        # trace_events arms the default-depth flight-recorder ring
+        assert o.flight_depth == o.DEFAULT_FLIGHT_DEPTH
 
     def test_topology_field_validated(self):
         assert RunOptions(topology="chiplet").topology == "chiplet"
@@ -76,7 +76,8 @@ _FAULT_KEYWORDS = {"check_invariants": False, "fault_rate": 2.0,
 
 class TestSurfaceShims:
     """The retired per-knob keyword spellings are gone: every harness
-    entry point takes its run-shaping knobs through ``options`` only."""
+    entry point takes its run-shaping knobs through ``options`` only,
+    and ``d_distance`` alone says whether a machine approximates."""
 
     def test_sweep_cache_options_only_is_silent(self):
         with warnings.catch_warnings():
@@ -89,7 +90,7 @@ class TestSurfaceShims:
         assert cache.options.fault_policy == "log"
 
     @pytest.mark.parametrize("entry,removed", [
-        ("experiment_config", _FAULT_KEYWORDS),
+        ("experiment_config", {**_FAULT_KEYWORDS, "enabled": False}),
         ("run_workload", _FAULT_KEYWORDS),
         ("SweepCache", {**_FAULT_KEYWORDS, "jobs": 2}),
         ("run_pair", {"jobs": 1}),
@@ -99,11 +100,23 @@ class TestSurfaceShims:
         ("sweep_d_distance", {"jobs": 2}),
         ("fig12", {"jobs": 2}),
         ("SweepCache.prefetch", {"jobs": 2}),
+        ("with_ghostwriter", {"enabled": False}),
+        ("small_config", {"enabled": False}),
+        ("GhostwriterConfig", {"enabled": False}),
+        ("row_from_result", {"d_label": 0}),
+        ("create", {"d_distance": 4}),
+        ("RunOptions", {"flight_recorder": 8, "point_backoff": 0.5}),
     ], ids=["experiment_config", "run_workload", "SweepCache", "run_pair",
             "fault_sweep", "run_grid", "sweep_d_distance", "fig12",
-            "SweepCache.prefetch"])
+            "SweepCache.prefetch", "with_ghostwriter", "small_config",
+            "GhostwriterConfig", "row_from_result", "create", "RunOptions"])
     def test_removed_keyword_raises(self, entry, removed):
+        from repro.common.config import (
+            GhostwriterConfig, default_config, small_config,
+        )
         from repro.faults.sweep import fault_sweep
+        from repro.harness.experiment import row_from_result
+        from repro.workloads.registry import create
         from repro.harness.figures import fig12
         from repro.harness.parallel import run_grid
         from repro.harness.sweeps import sweep_d_distance
@@ -116,7 +129,7 @@ class TestSurfaceShims:
 
         calls = {
             "experiment_config": lambda **kw: experiment_config(
-                enabled=False, **kw),
+                d_distance=0, **kw),
             "run_workload": lambda **kw: run_workload(
                 "histogram", d_distance=4, num_threads=2, scale=0.05, **kw),
             "SweepCache": lambda **kw: SweepCache(
@@ -130,6 +143,14 @@ class TestSurfaceShims:
             "fig12": lambda **kw: fig12((128,), num_threads=2, **kw),
             "SweepCache.prefetch": lambda **kw: SweepCache(
                 num_threads=2, scale=0.05).prefetch(**kw),
+            "with_ghostwriter": lambda **kw:
+                default_config().with_ghostwriter(**kw),
+            "small_config": small_config,
+            "GhostwriterConfig": GhostwriterConfig,
+            "row_from_result": lambda **kw: row_from_result(
+                "histogram", None, None, **kw),
+            "create": lambda **kw: create("histogram", num_threads=2, **kw),
+            "RunOptions": RunOptions,
         }
         # run_pair and the sweeps forward unknown keywords to the
         # workload, whose TypeError comes back as a failed grid point

@@ -91,11 +91,10 @@ class TestRetryPolicy:
         assert retry_from_options(RunOptions()) == RetryPolicy()
         assert (RetryPolicy().retries, RetryPolicy().timeout) == (0, 0.0)
         p = retry_from_options(RunOptions(point_retries=3,
-                                          point_timeout=2.0,
-                                          point_backoff=0.5))
+                                          point_timeout=2.0))
         assert p.retries == 3
         assert p.timeout == 2.0
-        assert p.backoff_base == 0.5
+        assert p.backoff_base == RetryPolicy().backoff_base
 
     def test_taxonomy(self):
         assert is_permanent_failure("DeadlockError")

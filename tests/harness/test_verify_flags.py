@@ -25,14 +25,14 @@ class TestParser:
 
 class TestConfigThreading:
     def test_experiment_config_defaults(self):
-        cfg = experiment_config(enabled=True)
+        cfg = experiment_config(d_distance=4)
         assert cfg.verify.check_invariants is True
         assert cfg.verify.watchdog_interval == WATCHDOG_INTERVAL
         assert not cfg.faults.active
 
     def test_experiment_config_faults(self):
         cfg = experiment_config(
-            enabled=False,
+            d_distance=0,
             options=RunOptions(check_invariants=False, fault_rate=50.0,
                                fault_seed=9, fault_policy="log"),
         )

@@ -46,9 +46,9 @@ def _factory(cid: int, rounds: int = 24, salt: int = 0):
 
 def _scripted_machine(num_cores: int = 2, *, period: int | None = 64,
                       rounds: int = 24, salt: int = 0,
-                      protocol: str = "ghostwriter", enabled: bool = True,
+                      protocol: str = "ghostwriter",
                       max_keep: int | None = None) -> Machine:
-    m = build_machine(num_cores, protocol=protocol, enabled=enabled)
+    m = build_machine(num_cores, protocol=protocol)
     if period is not None:
         m.checkpoint_recorder = CheckpointRecorder(period, max_keep=max_keep)
     # a per-machine program cache keeps the cores in recorder/compiled
@@ -239,7 +239,7 @@ class TestWorkloadMatrix:
     def _cfg(protocol, topology):
         from dataclasses import replace
         cfg = experiment_config(
-            enabled=protocol != "mesi", d_distance=4, num_cores=4,
+            d_distance=0 if protocol == "mesi" else 4, num_cores=4,
             protocol=None if protocol == "mesi" else protocol,
             topology=topology)
         return replace(cfg, verify=replace(cfg.verify,
@@ -260,7 +260,7 @@ class TestWorkloadMatrix:
         cfg = self._cfg(protocol, topology)
         base_w, base, end = self._run("bad_dot_product", cfg)
         base_row = row_from_result(
-            "bad_dot_product", 4, WorkloadResult(base_w, base, end), cfg)
+            "bad_dot_product", WorkloadResult(base_w, base, end), cfg)
         mids = [c for c in base.checkpoint_recorder.checkpoints
                 if 0 < c.cycle < end]
         assert mids, "no mid-run safe point in this cell"
@@ -275,7 +275,7 @@ class TestWorkloadMatrix:
         assert machine_fingerprint(fresh) == machine_fingerprint(base)
         assert fresh.stats.flatten() == base.stats.flatten()
         row2 = row_from_result(
-            "bad_dot_product", 4, WorkloadResult(fresh_w, fresh, end2), cfg)
+            "bad_dot_product", WorkloadResult(fresh_w, fresh, end2), cfg)
         assert dataclasses.asdict(row2) == dataclasses.asdict(base_row)
 
 

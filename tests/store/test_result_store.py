@@ -214,7 +214,7 @@ class TestPointKey:
         a = RunOptions(jobs=1)
         b = RunOptions(jobs=8, store="/tmp/x.db", resume=False,
                        point_retries=3, point_timeout=9.0,
-                       point_backoff=1.0, trace_events=True,
+                       trace_events=True,
                        timeline_interval=100)
         assert (point_key("w", {"options": a})
                 == point_key("w", {"options": b}))
@@ -241,8 +241,8 @@ class TestPointKey:
     def test_options_fingerprint_excludes_execution_fields(self):
         fp = dict(options_fingerprint(RunOptions()))
         for knob in ("jobs", "store", "resume", "point_timeout",
-                     "point_retries", "point_backoff", "trace_events",
-                     "timeline_interval", "flight_recorder"):
+                     "point_retries", "trace_events",
+                     "timeline_interval"):
             assert knob not in fp
         assert fp["protocol"] == "ghostwriter"
 

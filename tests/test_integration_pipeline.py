@@ -19,7 +19,7 @@ THREADS = 4
 
 def test_record_classify_replay_pipeline(tmp_path):
     """The find_false_sharing.py workflow, persisted through disk."""
-    cfg = experiment_config(enabled=False, num_cores=THREADS)
+    cfg = experiment_config(d_distance=0, num_cores=THREADS)
     w = create("bad_dot_product", num_threads=THREADS, n_points=256,
                max_value=7)
     m = Machine(cfg)
@@ -41,12 +41,12 @@ def test_record_classify_replay_pipeline(tmp_path):
 
     # replay under Ghostwriter cuts traffic on exactly that structure
     gw = replay_trace(
-        trace, experiment_config(enabled=True, d_distance=8,
+        trace, experiment_config(d_distance=8,
                                  num_cores=THREADS),
         initial_memory=snap,
     )
     base = replay_trace(
-        trace, experiment_config(enabled=False, num_cores=THREADS),
+        trace, experiment_config(d_distance=0, num_cores=THREADS),
         initial_memory=snap,
     )
     assert gw.network.stats.messages < base.network.stats.messages

@@ -9,7 +9,7 @@ from repro.workloads.registry import create
 
 
 def _record(name="bad_dot_product", threads=4, **kw):
-    cfg = experiment_config(enabled=False, num_cores=threads)
+    cfg = experiment_config(d_distance=0, num_cores=threads)
     kw.setdefault("max_value", 7)  # small values: scribbles can pass
     w = create(name, num_threads=threads, n_points=192, **kw)
     m = Machine(cfg)
@@ -24,7 +24,7 @@ def _record(name="bad_dot_product", threads=4, **kw):
 class TestReplay:
     def test_replay_completes_and_matches_op_counts(self):
         trace, snap = _record()
-        cfg = experiment_config(enabled=False, num_cores=4)
+        cfg = experiment_config(d_distance=0, num_cores=4)
         m = replay_trace(trace, cfg, initial_memory=snap)
         l1 = m.stats.child("l1")
         assert int(l1.total("loads") + l1.total("stores")) == len(trace)
@@ -33,7 +33,7 @@ class TestReplay:
         """The trace-driven methodology: record on baseline, replay on
         the candidate protocol."""
         trace, snap = _record()
-        gw_cfg = experiment_config(enabled=True, d_distance=8, num_cores=4)
+        gw_cfg = experiment_config(d_distance=8, num_cores=4)
         m = replay_trace(trace, gw_cfg, initial_memory=snap)
         l1 = m.stats.child("l1")
         served = l1.total("gs_serviced") + l1.total("gi_serviced")
@@ -42,11 +42,11 @@ class TestReplay:
     def test_replay_traffic_reduction(self):
         trace, snap = _record()
         base = replay_trace(
-            trace, experiment_config(enabled=False, num_cores=4),
+            trace, experiment_config(d_distance=0, num_cores=4),
             initial_memory=snap,
         )
         gw = replay_trace(
-            trace, experiment_config(enabled=True, d_distance=8,
+            trace, experiment_config(d_distance=8,
                                      num_cores=4),
             initial_memory=snap,
         )
@@ -54,7 +54,7 @@ class TestReplay:
 
     def test_core_count_validated(self):
         trace, snap = _record(threads=4)
-        cfg = experiment_config(enabled=False, num_cores=2)
+        cfg = experiment_config(d_distance=0, num_cores=2)
         with pytest.raises(ValueError):
             replay_trace(trace, cfg, initial_memory=snap)
 
@@ -62,4 +62,4 @@ class TestReplay:
         from repro.trace.record import Trace
         t = Trace([], [], [], [], [], [])
         with pytest.raises(ValueError):
-            replay_trace(t, experiment_config(enabled=False, num_cores=2))
+            replay_trace(t, experiment_config(d_distance=0, num_cores=2))

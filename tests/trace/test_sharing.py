@@ -75,7 +75,7 @@ class TestOnRealRuns:
         from repro.harness.experiment import experiment_config
         from repro.workloads.registry import create
 
-        cfg = experiment_config(enabled=False, num_cores=4)
+        cfg = experiment_config(d_distance=0, num_cores=4)
         w = create("bad_dot_product", num_threads=4, n_points=256,
                    approximate=False)
         from repro.sim.machine import Machine
@@ -96,7 +96,7 @@ class TestOnRealRuns:
         from repro.workloads.registry import create
         from repro.sim.machine import Machine
 
-        cfg = experiment_config(enabled=False, num_cores=4)
+        cfg = experiment_config(d_distance=0, num_cores=4)
         w = create("private_dot_product", num_threads=4, n_points=256)
         m = Machine(cfg)
         w.build(m)

@@ -15,6 +15,8 @@ from dataclasses import replace
 import pytest
 
 from repro.common.config import small_config
+from repro.core.core import Core
+from repro.harness.experiment import run_workload
 from repro.harness.parallel import GridPoint, _run_point, fan_out, run_grid
 from repro.workloads.registry import ALL_WORKLOADS, PROGRAM_CACHE, create
 
@@ -33,10 +35,9 @@ def clean_cache():
 
 
 def _run(name, protocol, *, compiled):
-    # enabled mirrors the protocol so "mesi" runs with approximation
-    # off, as the harness runs its baseline legs
-    cfg = replace(small_config(num_cores=THREADS,
-                               enabled=(protocol != "mesi")),
+    # one d for every protocol, so runs under different protocols share
+    # a program-cache key ("mesi" is precise at any d)
+    cfg = replace(small_config(num_cores=THREADS, d_distance=4),
                   protocol=protocol, compile_programs=compiled)
     w = create(name, num_threads=THREADS, seed=SEED, scale=SCALE)
     result = w.run(cfg)
@@ -72,6 +73,26 @@ def test_cross_protocol_cache_reuse_deoptimizes(name):
     warm_mesi = _run(name, "mesi", compiled=True)
     PROGRAM_CACHE.clear()
     assert warm_mesi == _run(name, "mesi", compiled=False)
+
+
+@pytest.mark.parametrize("ds", [(1, 0), (0, 1)],
+                         ids=["approx-then-precise", "precise-then-approx"])
+def test_precise_runs_never_replay_approximate_recordings(ds, monkeypatch):
+    """``d_distance=0`` is the precise machine and keys its own program
+    recordings: a precise run next to an approximate one (either order)
+    replays no recording made at another d, so it never deoptimizes."""
+    deopts = []
+    deoptimize = Core._deoptimize
+
+    def counting(self, actual):
+        deopts.append(actual)
+        return deoptimize(self, actual)
+
+    monkeypatch.setattr(Core, "_deoptimize", counting)
+    for d in ds:
+        run_workload("linear_regression", d_distance=d, num_threads=4,
+                     scale=0.1, seed=8)
+    assert deopts == []
 
 
 def test_warm_cache_rows_bit_identical_across_jobs():

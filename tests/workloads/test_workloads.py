@@ -20,9 +20,8 @@ THREADS = 8
 SCALE = 0.25
 
 
-def _run(name, *, enabled, d=8, **kw):
-    cfg = experiment_config(enabled=enabled, d_distance=d,
-                            num_cores=THREADS)
+def _run(name, *, d=8, **kw):
+    cfg = experiment_config(d_distance=d, num_cores=THREADS)
     w = create(name, num_threads=THREADS, scale=SCALE, **kw)
     result = w.run(cfg)
     result.machine.check_coherence_invariants()
@@ -32,7 +31,7 @@ def _run(name, *, enabled, d=8, **kw):
 class TestBaselineExactness:
     @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
     def test_baseline_is_exact(self, name):
-        _w, result = _run(name, enabled=False)
+        _w, result = _run(name, d=0)
         assert result.error_pct == 0.0, (
             f"{name}: baseline produced error {result.error_pct}"
         )
@@ -53,20 +52,20 @@ class TestBaselineExactness:
 class TestGhostwriterRuns:
     @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
     def test_completes_with_bounded_error(self, name):
-        _w, result = _run(name, enabled=True)
+        _w, result = _run(name)
         assert 0.0 <= result.error_pct <= 100.0
 
     @pytest.mark.parametrize("name", sorted(PAPER_WORKLOADS))
     def test_never_slower_than_baseline(self, name):
-        _w, base = _run(name, enabled=False)
-        _w2, gw = _run(name, enabled=True)
+        _w, base = _run(name, d=0)
+        _w2, gw = _run(name)
         assert gw.cycles <= base.cycles * 1.05
 
     @pytest.mark.parametrize("name", sorted(PAPER_WORKLOADS))
     def test_error_monotone_in_d(self, name):
         errs = []
         for d in (2, 8):
-            _w, r = _run(name, enabled=True, d=d)
+            _w, r = _run(name, d=d)
             errs.append(r.error_pct)
         assert errs[1] >= errs[0] - 1e-9
 
@@ -82,14 +81,14 @@ class TestWorkloadMetadata:
 
     def test_workload_single_use(self):
         w = create("bad_dot_product", num_threads=2, scale=0.1)
-        cfg = experiment_config(enabled=False, num_cores=2)
+        cfg = experiment_config(d_distance=0, num_cores=2)
         w.run(cfg)
         with pytest.raises(RuntimeError):
             w.run(cfg)
 
     def test_thread_count_validated(self):
         w = create("histogram", num_threads=16, scale=0.1)
-        cfg = experiment_config(enabled=False, num_cores=8)
+        cfg = experiment_config(d_distance=0, num_cores=8)
         with pytest.raises(ValueError):
             w.run(cfg)
 
@@ -110,15 +109,15 @@ class TestWorkloadMetadata:
 class TestMicrobenchmarks:
     def test_listing1_slower_than_listing2(self):
         """The Fig. 1 premise at 8 threads."""
-        _w1, naive = _run("bad_dot_product", enabled=False,
+        _w1, naive = _run("bad_dot_product", d=0,
                           approximate=False)
-        _w2, priv = _run("private_dot_product", enabled=False)
+        _w2, priv = _run("private_dot_product", d=0)
         assert naive.cycles > priv.cycles * 2
 
     def test_partials_match_reference_exactly(self):
-        w, result = _run("bad_dot_product", enabled=False)
+        w, result = _run("bad_dot_product", d=0)
         assert list(result.output) == list(result.reference)
 
     def test_store_through_variant_exact_in_baseline(self):
-        _w, result = _run("store_through_dot_product", enabled=False)
+        _w, result = _run("store_through_dot_product", d=0)
         assert result.error_pct == 0.0

@@ -371,7 +371,7 @@ def bench_checkpoint_roundtrip(n: int):
     from repro.isa.compiled import ProgramCache, ProgramSpec
     from repro.isa.instructions import Compute, Load, SetAprx, Store
     from repro.sim.machine import Machine
-    from repro.sim.state import MachineCheckpoint
+    from repro.sim.state import CheckpointRecorder, MachineCheckpoint
 
     cfg = small_config(num_cores=2)
     cache = ProgramCache()
@@ -385,15 +385,19 @@ def bench_checkpoint_roundtrip(n: int):
                 yield Compute(20)
         return prog
 
-    def build() -> Machine:
+    def build(record: bool = False) -> Machine:
         m = Machine(cfg)
+        if record:
+            # only a checkpointing machine records its programs, and only
+            # a recorded core can be captured; this recorder never fires
+            m.checkpoint_recorder = CheckpointRecorder(1 << 62)
         for cid in range(2):
             m.add_thread(cid, ProgramSpec(factory_for(cid),
                                           key=("bench_ckpt", cid),
                                           cache=cache))
         return m
 
-    src = build()
+    src = build(record=True)
     src.run()  # a finished machine is trivially at a safe point
     dst = build()
 

@@ -126,7 +126,8 @@ class L1Controller:
         # hot-path bindings: the access path runs once per simulated
         # memory reference, so its counters are bumped through the live
         # counter dict (one item access each) rather than StatGroup's
-        # attribute protocol, and the scribe entry points are pre-bound
+        # attribute protocol, and the scribe entry points are pre-bound;
+        # the miss, fill and invalidation paths bump the same dict
         self._c = stats.counters(
             "loads", "load_hits", "load_misses", "load_miss_on_I",
             "approx_load_hits", "stores", "store_hits", "store_misses",
@@ -470,7 +471,7 @@ class L1Controller:
             #   block in place (cheaper, no data transfer, but stale
             #   words of other threads become globally visible).
             if self._gs_fallback_getx:
-                self.stats.approx_data_dropped += 1
+                self._c["approx_data_dropped"] += 1
                 kind = MshrKind.STORE
                 self._set_state(line, _S.IM_D,
                                 "store fallback from GS -> GETX")
@@ -508,13 +509,13 @@ class L1Controller:
         """Make room: run the eviction protocol for the victim line."""
         block = line.tag
         state = line.state
-        st = self.stats
-        st.evictions += 1
+        st = self._c
+        st["evictions"] += 1
         if state is _S.M or state is _S.O:
             self._wb_buffer.setdefault(block, deque()).append(
                 _WbEntry(line.words, dirty=True)
             )
-            st.writebacks += 1
+            st["writebacks"] += 1
             self._send(MessageType.PUTM, block, self._home(block),
                        words=line.words.copy())
         elif state is _S.E:
@@ -527,11 +528,11 @@ class L1Controller:
         elif state is _S.GS:
             # directory still lists us as an S sharer; approximate updates
             # are forfeited (paper 3.5)
-            st.approx_data_dropped += 1
+            st["approx_data_dropped"] += 1
             self._send(MessageType.PUTS, block, self._home(block))
         elif state is _S.GI:
             # invisible to the directory: silent drop
-            st.approx_data_dropped += 1
+            st["approx_data_dropped"] += 1
             self._gi_blocks.discard(block)
         elif state is _S.I:
             pass
@@ -634,7 +635,7 @@ class L1Controller:
             result = None
         line.pinned = False
         self.mshrs.retire(block)
-        self.stats.miss_latency_cycles += self.engine.now - entry.issued_at
+        self._c["miss_latency_cycles"] += self.engine.now - entry.issued_at
         self._run_deferred(line, entry)
         cb = entry.on_complete
         self.engine.schedule(0, lambda: cb(result))
@@ -662,7 +663,7 @@ class L1Controller:
             self._commit(line)
             line.pinned = False
             self.mshrs.retire(block)
-            self.stats.miss_latency_cycles += self.engine.now - entry.issued_at
+            self._c["miss_latency_cycles"] += self.engine.now - entry.issued_at
             self._run_deferred(line, entry)
             cb = entry.on_complete
             self.engine.schedule(0, lambda: cb(None))
@@ -679,18 +680,18 @@ class L1Controller:
     def _on_inv(self, msg: Message) -> None:
         block = msg.block_addr
         line = self.array.lookup(block, touch=False)
-        st = self.stats
+        st = self._c
         if line is None or line.state is _S.I:
             # our PUTS/eviction raced the invalidation: ack unconditionally
-            st.stray_invs += 1
+            st["stray_invs"] += 1
         elif line.state is _S.S:
             self._set_state(line, _S.I, "invalidated")
-            st.invalidations += 1
+            st["invalidations"] += 1
         elif line.state is _S.O:
             # MOESI: a sharer won an upgrade race; its copy is identical
             # to ours, so dropping the dirty O data is safe
             self._set_state(line, _S.I, "O invalidated by sharer upgrade")
-            st.invalidations += 1
+            st["invalidations"] += 1
         elif line.state is _S.GS:
             if self._gs_self_invalidate:
                 # self-invalidation variant: keep the (now stale) copy
@@ -701,21 +702,21 @@ class L1Controller:
                 # like any other GI block.
                 self._set_state(line, _S.GI, "GS self-invalidates to GI")
                 self._enter_gi(block)
-                st.invalidations += 1
-                st.self_invalidations += 1
+                st["invalidations"] += 1
+                st["self_invalidations"] += 1
             else:
                 # remote conventional store reclaims the block; local
                 # approximate updates are forfeited (paper 3.2/3.5)
                 self._set_state(line, _S.I, "GS invalidated")
                 self._note_gs_loss()
-                st.invalidations += 1
+                st["invalidations"] += 1
         elif line.state is _S.GI:
             # the directory does not track GI copies, so this is a stale
             # invalidation from our earlier S era; drop to I conservatively
             self._set_state(line, _S.I, "stale INV on GI")
             self._gi_blocks.discard(block)
             self._note_gs_loss()
-            st.stray_invs += 1
+            st["stray_invs"] += 1
         elif line.state is _S.SM_D:
             # our UPGRADE lost the race; the directory will answer with
             # data instead of an ack
@@ -724,7 +725,7 @@ class L1Controller:
                 raise ProtocolError(f"SM_D without MSHR on {msg}")
             entry.kind = MshrKind.STORE
             self._set_state(line, _S.IM_D, "INV during UPGRADE")
-            st.invalidations += 1
+            st["invalidations"] += 1
         elif line.state is _S.IS_D:
             # Either the INV overtook our fill, or it targets a stale era
             # (we evicted and re-requested; our GETS is still queued behind
@@ -736,15 +737,15 @@ class L1Controller:
             if entry is None:
                 raise ProtocolError(f"IS_D without MSHR on {msg}")
             entry.fill_to_invalid = True
-            st.deferred_invs += 1
+            st["deferred_invs"] += 1
         elif line.state is _S.IM_D:
-            st.stray_invs += 1
+            st["stray_invs"] += 1
         else:
             raise ProtocolError(f"INV in state {line.state}: {msg}")
         self._send(MessageType.INV_ACK, block, msg.src)
 
     def _note_gs_loss(self) -> None:
-        self.stats.approx_data_dropped += 1
+        self._c["approx_data_dropped"] += 1
 
     # -- pushed updates (write-update hybrid) -----------------------------
     def _on_update(self, msg: Message) -> None:
@@ -760,30 +761,30 @@ class L1Controller:
         """
         block = msg.block_addr
         line = self.array.lookup(block, touch=False)
-        st = self.stats
+        st = self._c
         state = None if line is None else line.state
         if state is _S.S:
             line.words[:] = msg.words
-            st.updates_applied += 1
+            st["updates_applied"] += 1
         elif state is _S.GS:
             # a remote store reclaims the block: under the update hybrid
             # the pushed data replaces the local scribbles (re-cohered)
             line.words[:] = msg.words
             self._set_state(line, _S.S, "UPDATE re-coheres GS")
             self._note_gs_loss()
-            st.updates_applied += 1
+            st["updates_applied"] += 1
         elif state is _S.SM_D:
             # our own UPGRADE is queued at the home behind the pusher's;
             # refresh the base copy so our grant publishes current data
             line.words[:] = msg.words
-            st.updates_applied += 1
+            st["updates_applied"] += 1
         elif state in (_S.E, _S.M, _S.O):
             # cannot happen (see docstring): ownership requires a prior
             # transaction, which requires our update ack first
             raise ProtocolError(f"UPDATE to owner state {state}: {msg}")
         else:
             # I/GI/IS_D/IM_D or no tag: no longer a live sharer copy
-            st.stray_updates += 1
+            st["stray_updates"] += 1
         self._send(MessageType.INV_ACK, block, msg.src)
 
     # -- forwards ---------------------------------------------------------
@@ -805,7 +806,7 @@ class L1Controller:
                 # promoted to a GETX by the directory
                 self._send(MessageType.CHAIN_ACK, block, msg.src)
                 self._set_state(line, _S.IM_D, "Fwd_GETX during UPGRADE")
-            self.stats.fwds_serviced += 1
+            self._c["fwds_serviced"] += 1
             return
         if line is not None and line.state.transient:
             # forward overtook our grant/fill: service after completion
@@ -813,7 +814,7 @@ class L1Controller:
             if entry is None:
                 raise ProtocolError(f"transient line without MSHR: {msg}")
             entry.deferred.append(msg)
-            self.stats.deferred_fwds += 1
+            self._c["deferred_fwds"] += 1
             return
         if line is not None and line.state in (_S.E, _S.M, _S.O):
             self._service_fwd_from_line(line, msg)
@@ -834,7 +835,7 @@ class L1Controller:
                        words=entry.words.copy())
         else:
             self._send(MessageType.CHAIN_ACK, block, msg.src)
-        self.stats.fwds_from_wb_buffer += 1
+        self._c["fwds_from_wb_buffer"] += 1
 
     def _service_fwd_from_line(self, line: CacheLine, msg: Message) -> None:
         block = msg.block_addr
@@ -856,7 +857,7 @@ class L1Controller:
         else:  # FWD_GETX
             self._send(MessageType.CHAIN_ACK, block, msg.src)
             self._set_state(line, _S.I, "invalidated by Fwd_GETX")
-        self.stats.fwds_serviced += 1
+        self._c["fwds_serviced"] += 1
 
     # -- deferred messages --------------------------------------------------
     def _run_deferred(self, line: CacheLine, entry: MshrEntry) -> None:

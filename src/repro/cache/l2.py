@@ -33,20 +33,21 @@ class EvictedBlock:
 class L2Slice:
     """One address-interleaved slice of the shared L2."""
 
-    __slots__ = ("node", "cfg", "array", "stats", "bus", "engine")
+    __slots__ = ("node", "cfg", "array", "stats", "bus", "engine", "_c")
 
     def __init__(self, node: int, cfg: CacheConfig, stats: StatGroup) -> None:
         self.node = node
         self.cfg = cfg
         self.array = CacheArray(cfg)
         self.stats = stats
+        self._c = stats.counters()
         #: event bus + engine (repro.obs); wired by Machine.attach_bus
         self.bus = None
         self.engine = None
 
     def probe(self, block_addr: int) -> list[int] | None:
         """Read the block if resident (a copy); counts a read access."""
-        self.stats.reads += 1
+        self._c["reads"] += 1
         line = self.array.lookup(block_addr)
         bus = self.bus
         if bus is not None:
@@ -56,9 +57,9 @@ class L2Slice:
                 "miss" if line is None else "hit",
             ))
         if line is None:
-            self.stats.read_misses += 1
+            self._c["read_misses"] += 1
             return None
-        self.stats.read_hits += 1
+        self._c["read_hits"] += 1
         return line.words.copy()
 
     def contains(self, block_addr: int) -> bool:
@@ -70,7 +71,7 @@ class L2Slice:
     ) -> EvictedBlock | None:
         """Install/overwrite a block; returns the victim (if any) for the
         caller to write back to DRAM when dirty."""
-        self.stats.writes += 1
+        self._c["writes"] += 1
         bus = self.bus
         if bus is not None:
             bus.emit(Event(
@@ -88,9 +89,9 @@ class L2Slice:
                 evicted = EvictedBlock(
                     line.tag, line.words, bool(line.state)
                 )
-                self.stats.evictions += 1
+                self._c["evictions"] += 1
                 if evicted.dirty:
-                    self.stats.dirty_evictions += 1
+                    self._c["dirty_evictions"] += 1
                 line.clear()
             self.array.install(line, block_addr)
             line.words = words.copy()

@@ -7,6 +7,7 @@ outstanding transaction (MSHR semantics).
 """
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Iterator
 
 from repro.common.config import CacheConfig
@@ -44,6 +45,28 @@ class CacheLine:
         return f"CacheLine(tag={tag}, state={self.state}, pinned={self.pinned})"
 
 
+@functools.cache
+def _plru_paths(assoc: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per way, the ``(node, bit)`` writes a PLRU touch makes on its root
+    path: each node points at the subtree the way is *not* in."""
+    paths = []
+    for way in range(assoc):
+        path = []
+        node, span = 0, assoc
+        while span > 1:
+            half = span // 2
+            if way < half:
+                path.append((node, 1))     # point at the right (cold) side
+                node = 2 * node + 1
+            else:
+                path.append((node, 0))
+                node = 2 * node + 2
+                way -= half
+            span = half
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
 class _PlruTree:
     """Classic binary-tree pseudo-LRU for power-of-two associativity.
 
@@ -51,27 +74,17 @@ class _PlruTree:
     touching a way flips the bits on its root path to point away from it.
     """
 
-    __slots__ = ("assoc", "bits")
+    __slots__ = ("assoc", "bits", "_paths")
 
     def __init__(self, assoc: int) -> None:
         self.assoc = assoc
         self.bits = [0] * max(assoc - 1, 1)
+        self._paths = _plru_paths(assoc)
 
     def touch(self, way: int) -> None:
-        if self.assoc == 1:
-            return
-        node = 0
-        span = self.assoc
-        while span > 1:
-            half = span // 2
-            if way < half:
-                self.bits[node] = 1            # point at the right (cold) side
-                node = 2 * node + 1
-            else:
-                self.bits[node] = 0
-                node = 2 * node + 2
-                way -= half
-            span = half
+        bits = self.bits
+        for node, bit in self._paths[way]:
+            bits[node] = bit
 
     def victim(self, evictable: Callable[[int], bool]) -> int | None:
         """PLRU-preferred evictable way, or None if nothing is evictable.

@@ -114,6 +114,8 @@ class DirectoryAgent:
         self.backing = backing
         self.dram = dram
         self.stats = stats
+        # per-message counters, bumped through the live counter dict
+        self._c = stats.counters()
         self._entries: dict[int, DirEntry] = {}
         #: event bus (repro.obs); wired by Machine.attach_bus
         self.bus = None
@@ -157,7 +159,7 @@ class DirectoryAgent:
         e = self.entry(msg.block_addr)
         if e.busy:
             e.pending.append(msg)
-            self.stats.queued_requests += 1
+            self._c["queued_requests"] += 1
         else:
             self._start(e, msg)
 
@@ -174,7 +176,7 @@ class DirectoryAgent:
     def _dispatch(self, e: DirEntry, msg: Message) -> None:
         e.txn = _Txn(msg)
         mtype = msg.mtype
-        self.stats.transactions += 1
+        self._c["transactions"] += 1
         bus = self.bus
         if bus is not None:
             bus.emit(Event(
@@ -218,7 +220,7 @@ class DirectoryAgent:
                 )
             e.txn.waiting_chain = True
             self._send(MessageType.FWD_GETS, block, e.owner, requestor=req)
-            self.stats.fwd_gets += 1
+            self._c["fwd_gets"] += 1
 
             # completion continues in _handle_response
             def on_chain(chain: Message) -> None:
@@ -266,7 +268,7 @@ class DirectoryAgent:
             old_owner = e.owner
             e.txn.waiting_chain = True
             self._send(MessageType.FWD_GETX, block, old_owner, requestor=req)
-            self.stats.fwd_getx += 1
+            self._c["fwd_getx"] += 1
 
             def on_chain(_chain: Message) -> None:
                 # requestor got the data directly from the old owner
@@ -283,10 +285,10 @@ class DirectoryAgent:
             txn.pending_acks = len(others)
             for node in others:
                 self._send(MessageType.INV, block, node)
-                self.stats.invalidations_sent += 1
+                self._c["invalidations_sent"] += 1
             txn.waiting_chain = True
             self._send(MessageType.FWD_GETX, block, e.owner, requestor=req)
-            self.stats.fwd_getx += 1
+            self._c["fwd_getx"] += 1
 
             def check() -> None:
                 if txn.pending_acks == 0 and not txn.waiting_chain:
@@ -307,7 +309,7 @@ class DirectoryAgent:
         txn.pending_acks = len(others)
         for node in others:
             self._send(MessageType.INV, block, node)
-            self.stats.invalidations_sent += 1
+            self._c["invalidations_sent"] += 1
 
         def data_ready(words: list[int], src_node: int) -> None:
             txn.data_words = words
@@ -343,8 +345,8 @@ class DirectoryAgent:
             txn.pending_acks = len(targets)
             for node in targets:
                 self._send(MessageType.INV, block, node)
-                self.stats.invalidations_sent += 1
-            self.stats.upgrades += 1
+                self._c["invalidations_sent"] += 1
+            self._c["upgrades"] += 1
             if txn.pending_acks == 0:
                 self._complete_upgrade(e, block, req)
             return
@@ -364,15 +366,15 @@ class DirectoryAgent:
             txn.pending_acks = len(others)
             for node in others:
                 self._send(MessageType.INV, block, node)
-                self.stats.invalidations_sent += 1
-            self.stats.upgrades += 1
+                self._c["invalidations_sent"] += 1
+            self._c["upgrades"] += 1
             if txn.pending_acks == 0:
                 self._complete_upgrade(e, block, req)
             # else: completion continues as INV_ACKs arrive
             return
         # the requestor lost its sharer status while the UPGRADE was in
         # flight: promote to a full GETX (its L1 is now in IM_D)
-        self.stats.upgrades_promoted += 1
+        self._c["upgrades_promoted"] += 1
         self._do_getx(e, msg)
 
     def _complete_upgrade(self, e: DirEntry, block: int, req: int) -> None:
@@ -393,8 +395,8 @@ class DirectoryAgent:
             raise ProtocolError(f"update UPGRADE without word payload: {msg}")
         txn = e.txn
         txn.is_update = True
-        self.stats.upgrades += 1
-        self.stats.updates += 1
+        self._c["upgrades"] += 1
+        self._c["updates"] += 1
 
         def data_ready(words: list[int], _src_node: int) -> None:
             words = words.copy()
@@ -404,7 +406,7 @@ class DirectoryAgent:
             for node in others:
                 self._send(MessageType.UPDATE, block, node,
                            words=words.copy())
-                self.stats.updates_sent += 1
+                self._c["updates_sent"] += 1
 
         self._fetch(block, data_ready)
 
@@ -425,7 +427,7 @@ class DirectoryAgent:
                 e.state = DirState.EM  # the dirty owner remains
         # in EM/I the PUTS is stale (its copy was already invalidated or
         # converted); nothing to do — PUTS needs no acknowledgement
-        self.stats.puts += 1
+        self._c["puts"] += 1
         self._finish(e, block)
 
     def _do_pute_putm(self, e: DirEntry, msg: Message) -> None:
@@ -433,9 +435,9 @@ class DirectoryAgent:
         if e.state in (DirState.EM, DirState.O) and e.owner == src:
             if msg.mtype is MessageType.PUTM:
                 self._l2_install(block, msg.words, dirty=True)
-                self.stats.putm += 1
+                self._c["putm"] += 1
             else:
-                self.stats.pute += 1
+                self._c["pute"] += 1
             e.owner = None
             # an O owner's departure leaves its sharers behind
             e.state = DirState.S if e.sharers else DirState.I
@@ -443,7 +445,7 @@ class DirectoryAgent:
         else:
             # ownership moved while the PUT was in flight (the L1 already
             # served the forward from its write-back buffer)
-            self.stats.stale_puts += 1
+            self._c["stale_puts"] += 1
             self._send(MessageType.ACK, block, src, stale=True)
         self._finish(e, block)
 
@@ -504,7 +506,7 @@ class DirectoryAgent:
             if words is not None:
                 then(words, slc.node)
                 return
-            self.stats.l2_misses += 1
+            self._c["l2_misses"] += 1
 
             def from_dram() -> None:
                 data = self.backing.read_block(block)
@@ -524,7 +526,7 @@ class DirectoryAgent:
         slc = self._slice(block)
         self.network.account_transfer(self.node, slc.node, data=True)
         victim = slc.fill(block, words, dirty=dirty)
-        self.stats.l2_installs += 1
+        self._c["l2_installs"] += 1
         if victim is not None and victim.dirty:
             self.backing.write_block(victim.block_addr, victim.words)
             self.dram.write(victim.block_addr)

@@ -2,12 +2,13 @@
 
 Every simulator component owns a :class:`StatGroup`; groups nest under a
 root so a finished run can be flattened into ``component.counter`` rows
-for the harness/report layer.  Counters are plain ints/floats — hot paths
-increment attributes directly rather than going through dict lookups.
+for the harness/report layer.  Counters are plain ints/floats; hot paths
+bump them through the live counter dict (:meth:`StatGroup.counters`)
+rather than the attribute protocol.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Any, Iterator
 
 __all__ = ["StatGroup", "HistogramStat"]
@@ -67,17 +68,15 @@ class StatGroup:
         # bypass __setattr__ bookkeeping during init
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_children", {})
-        object.__setattr__(self, "_values", {})
+        # a counter springs into existence, at 0, when first read or bumped
+        object.__setattr__(self, "_values", defaultdict(int))
 
     # -- counters -----------------------------------------------------
     def __getattr__(self, key: str) -> Any:
         # only called when normal lookup fails
         if key.startswith("_"):
             raise AttributeError(key)
-        values = object.__getattribute__(self, "_values")
-        if key not in values:
-            values[key] = 0
-        return values[key]
+        return object.__getattribute__(self, "_values")[key]
 
     def __setattr__(self, key: str, value: Any) -> None:
         if key.startswith("_") or key == "name":
@@ -92,7 +91,10 @@ class StatGroup:
         ``group.counters("loads")["loads"] += 1`` is the same counter as
         ``group.loads += 1`` but costs one dict item access instead of
         two attribute-protocol dispatches — components bind the dict
-        once at construction and bump it in their per-access paths.
+        once at construction and bump it in their per-access paths.  A
+        name left unseeded starts at 0 on its first ``+=``, exactly as
+        with attribute access, so a rarely-bumped counter stays out of
+        the tree (and its snapshots) until it counts something.
         """
         values = self._values
         for name in names:

@@ -40,6 +40,8 @@ class AccessType(enum.Enum):
         """True for stores and scribbles."""
         return self is not AccessType.LOAD
 
+    __hash__ = object.__hash__
+
 
 class CoherenceState(enum.Enum):
     """L1 cache-block states.
@@ -66,66 +68,24 @@ class CoherenceState(enum.Enum):
     IM_D = "IM_D"    # I -> M, waiting for data (+acks)
     SM_D = "SM_D"    # S -> M via UPGRADE, waiting for ack/data
 
-    @property
-    def stable(self) -> bool:
-        """True for non-transient states."""
-        return self in _STABLE_STATES
+    def __init__(self, value: str) -> None:
+        # per-member flags, set once here so the per-access checks are
+        # plain attribute reads rather than property calls and set lookups
+        #: non-transient state
+        self.stable = value not in ("IS_D", "IM_D", "SM_D")
+        #: a transaction is in flight
+        self.transient = not self.stable
+        #: loads hit without a coherence transaction
+        self.readable = self.stable and value != "I"
+        #: conventional stores hit without a coherence transaction
+        self.writable = value in ("E", "M", "GS", "GI")
+        #: a Ghostwriter GS/GI state
+        self.approximate = value in ("GS", "GI")
+        #: the block must be written back on (non-approximate) eviction
+        self.owns_dirty_data = value in ("M", "O")
 
-    @property
-    def transient(self) -> bool:
-        """True while a transaction is in flight."""
-        return not self.stable
-
-    @property
-    def readable(self) -> bool:
-        """Loads hit without a coherence transaction."""
-        return self in _READABLE_STATES
-
-    @property
-    def writable(self) -> bool:
-        """Conventional stores hit without a coherence transaction."""
-        return self in _WRITABLE_STATES
-
-    @property
-    def approximate(self) -> bool:
-        """True for the Ghostwriter GS/GI states."""
-        return self is CoherenceState.GS or self is CoherenceState.GI
-
-    @property
-    def owns_dirty_data(self) -> bool:
-        """Block must be written back on (non-approximate) eviction."""
-        return self is CoherenceState.M or self is CoherenceState.O
-
-
-_STABLE_STATES = frozenset(
-    {
-        CoherenceState.I,
-        CoherenceState.S,
-        CoherenceState.E,
-        CoherenceState.M,
-        CoherenceState.O,
-        CoherenceState.GS,
-        CoherenceState.GI,
-    }
-)
-_READABLE_STATES = frozenset(
-    {
-        CoherenceState.S,
-        CoherenceState.E,
-        CoherenceState.M,
-        CoherenceState.O,
-        CoherenceState.GS,
-        CoherenceState.GI,
-    }
-)
-_WRITABLE_STATES = frozenset(
-    {
-        CoherenceState.E,
-        CoherenceState.M,
-        CoherenceState.GS,
-        CoherenceState.GI,
-    }
-)
+    # members hash by identity (Enum.__hash__ hashes the name in Python)
+    __hash__ = object.__hash__
 
 
 class DirState(enum.Enum):
@@ -136,6 +96,8 @@ class DirState(enum.Enum):
     EM = "EM"        # a single owner holds the block in E or M
     O = "O"          # noqa: E741 - MOESI: a dirty owner plus sharers
 
+    __hash__ = object.__hash__
+
 
 class MessageClass(enum.Enum):
     """Traffic class used for the Fig. 8 breakdown and NoC accounting."""
@@ -145,6 +107,8 @@ class MessageClass(enum.Enum):
     UPGRADE = "UPGRADE"
     DATA = "Data"
     OTHER = "Other"
+
+    __hash__ = object.__hash__
 
 
 class MessageType(enum.Enum):
@@ -178,6 +142,8 @@ class MessageType(enum.Enum):
         self.label = label
         self.klass = klass
         self.carries_data = carries_data
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,8 @@ arrives in one of three forms (see :mod:`repro.isa.compiled`):
 * a plain generator of ISA ops — the legacy path, executed through a
   ``send``/``next`` round-trip and ``type(op)`` dispatch per op;
 * a :class:`~repro.isa.compiled.ProgramSpec` — a generator factory plus
-  a program-cache slot.  On a cache miss the generator runs with a
+  a program-cache slot.  On a miss the generator runs; on a machine that
+  checkpoints it runs with a
   :class:`~repro.isa.compiled.ProgramRecorder` tee that lowers the
   retired op stream to columnar arrays; on a hit the core executes the
   arrays directly (no generator, no op objects) and validates every
@@ -84,6 +85,7 @@ class Core:
         stats: StatGroup,
         quantum: int = 8,
         sync_tables: tuple[list, list] | None = None,
+        record: bool = False,
     ) -> None:
         self.cid = cid
         self.engine = engine
@@ -111,6 +113,9 @@ class Core:
             "stall_cycles",
         )
         self._sync_tables = sync_tables
+        # the miss/wakeup continuation handed to the L1 and sync objects,
+        # bound once rather than per access
+        self._resume = self._resume_with
         # restorable identity of this core's self-reschedule events
         # (start and quantum yields) — see repro.sim.state
         self._step_tag = ("core_step", cid)
@@ -148,7 +153,10 @@ class Core:
                 self._needs_replay = True
             else:
                 self.program = program.factory()
-                if self._spec_cache is not None:
+                # only a checkpointing machine records: a recording is
+                # what snapshot rebuilds a core from, and replay is no
+                # faster than the generator
+                if self._spec_cache is not None and record:
                     self._recorder = ProgramRecorder(sync_tables)
         else:
             self.program = program
@@ -259,9 +267,11 @@ class Core:
         pc; the restored run replays side effects at finish), recorder-
         mode generator execution (recorded prefix + count; the restored
         run resynchronizes a fresh generator through it), and a finished
-        core with a replayable recording.  A deoptimized or plain-
-        generator core raises :class:`CheckpointUnsupported` — its
-        continuation lives in an opaque generator frame."""
+        core with a replayable recording.  A deoptimized core, a plain
+        generator, or a spec the program cache missed on a machine
+        without a checkpoint recorder (so nothing recorded it) raises
+        :class:`CheckpointUnsupported` — its continuation lives in an
+        opaque generator frame."""
         if self._awaiting_load:
             raise CheckpointUnsupported(
                 f"core {self.cid} has an outstanding load"
@@ -306,7 +316,8 @@ class Core:
             )
             return base
         raise CheckpointUnsupported(
-            f"core {self.cid} is deoptimized or runs a plain generator"
+            f"core {self.cid} is deoptimized or runs an unrecorded "
+            "generator"
         )
 
     def restore(self, blob: dict) -> None:
@@ -381,7 +392,7 @@ class Core:
             return
         budget = self.quantum_cycles
         elapsed = 0
-        hit_latency = self.l1.cfg.l1.hit_latency
+        hit_latency = self._hit_latency
         st = self._c
         engine = self.engine
         access = self.l1.access
@@ -426,7 +437,7 @@ class Core:
             pc = self._cpc
             validate = self._compiled.validate_loads
             l1 = self.l1
-            resume = self._resume_with
+            resume = self._resume
             while elapsed < budget:
                 if self._awaiting_load:
                     # a missed load retired; the delivered value must
@@ -534,6 +545,7 @@ class Core:
 
         program = self.program
         rec = self._recorder
+        resume = self._resume
         while elapsed < budget:
             try:
                 if self._pending_send is not None:
@@ -553,7 +565,7 @@ class Core:
                 st["mem_ops"] += 1
                 if rec is not None:
                     rec.record_load(op.addr)
-                hit, val = access(_LOAD, op.addr, None, self._resume_with)
+                hit, val = access(_LOAD, op.addr, None, resume)
                 if hit:
                     elapsed += hit_latency
                     self._pending_send = val
@@ -568,7 +580,7 @@ class Core:
                 ) else _STORE
                 if rec is not None:
                     rec.record(1 if atype is _STORE else 2, op.addr, op.value)
-                hit, _ = access(atype, op.addr, op.value, self._resume_with)
+                hit, _ = access(atype, op.addr, op.value, resume)
                 if hit:
                     elapsed += hit_latency
                     # stores produce no value; send(None) ~ next()
@@ -589,7 +601,7 @@ class Core:
                 self.blocked_op = "BARRIER_WAIT"
                 if rec is not None:
                     rec.record_sync(4, op.barrier)
-                op.barrier.arrive(lambda: self._resume_with(None), self.cid)
+                op.barrier.arrive(self._wake, self.cid)
                 st["barrier_waits"] += 1
                 return
             if cls is isa.Acquire:
@@ -597,7 +609,7 @@ class Core:
                 self.blocked_op = "ACQUIRE"
                 if rec is not None:
                     rec.record_sync(5, op.lock)
-                op.lock.acquire(self.cid, lambda: self._resume_with(None))
+                op.lock.acquire(self.cid, self._wake)
                 return
             if cls is isa.Release:
                 op.lock.release(self.cid)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields, replace
 
 from repro.coherence.policy import available_protocols
 from repro.harness import figures as F
@@ -204,15 +205,15 @@ def _run_figures(wanted, args, cache) -> int:
         # read it; fig7 alone only needs the d in {4, 8} legs
         ds = (4, 8) if sweep_wanted == ["fig7"] else (0, 4, 8)
         t0 = time.time()
+        probed = _store_probes(args)
         cache.prefetch(ds=ds)
         print(f"[sweep prefetch x{args.jobs} jobs, {args.backend}: "
               f"{time.time() - t0:.1f}s]\n")
-        store = cache.result_store()
-        if store is not None:
-            print(f"[store {args.store}: {store.stats.render()}]\n")
+        _store_banner(args, probed)
     crashed = 0
     for name in wanted:
         t0 = time.time()
+        probed = _store_probes(args)
         try:
             result = _run_figure(name, args, cache)
         except Exception as exc:
@@ -232,8 +233,32 @@ def _run_figures(wanted, args, cache) -> int:
             from repro.harness.export import export_result
             paths = export_result(name, result, args.out)
             print(f"[exported {', '.join(str(p) for p in paths)}]")
+        _store_banner(args, probed)
         print(f"[{name}: {time.time() - t0:.1f}s]\n")
     return crashed
+
+
+def _store_probes(args):
+    """A copy of the process-wide result-store counters (None without
+    ``--store``), taken before a step that may probe the store."""
+    if not args.store:
+        return None
+    from repro.store.result_store import SESSION_STATS
+    return replace(SESSION_STATS)
+
+
+def _store_banner(args, before) -> None:
+    """Report the store traffic since ``before``, if there was any: the
+    sweep prefetch and every figure that runs a grid (fig1, fig12,
+    protocols, topology) probe the store."""
+    if before is None:
+        return
+    from repro.store.result_store import SESSION_STATS
+    delta = type(before)(*(getattr(SESSION_STATS, f.name)
+                           - getattr(before, f.name)
+                           for f in fields(before)))
+    if delta.probes or delta.commits:
+        print(f"[store {args.store}: {delta.render()}]\n")
 
 
 def _run_figure(name, args, cache):

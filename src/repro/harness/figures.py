@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.ddistance import SimilarityProfile, machine_store_histogram
+from repro.coherence.policy import get_protocol
 from repro.common.config import default_config, table1_rows
 from repro.common.types import MessageClass
 from repro.harness.experiment import (
@@ -111,7 +112,8 @@ class SweepCache:
         return self._store
 
     def row(self, app: str, d: int) -> RunRow:
-        """Memoized run of (app, d); ``d=0`` is baseline MESI.
+        """Memoized run of (app, d); ``d=0`` is the protocol's precise
+        base (MESI or MOESI).
 
         A point that failed raises ``RuntimeError`` with its
         :meth:`GridFailure.render` line; the failure is cached (and, if
@@ -177,14 +179,21 @@ def table2(num_threads: int = DEFAULT_THREADS) -> TableResult:
                        ["Application", "Domain", "Input", "Error"], rows)
 
 
+def _base_name(protocol: str) -> str:
+    """The precise base a protocol's ``d=0`` runs use, as a title names
+    it ("MESI" or "MOESI")."""
+    return get_protocol(protocol).base.upper()
+
+
 # ---------------------------------------------------------------------
-# Fig. 1 — false-sharing dot-product thread sweep (baseline MESI)
+# Fig. 1 — false-sharing dot-product thread sweep (precise base)
 # ---------------------------------------------------------------------
 @dataclass(slots=True)
 class Fig1Result:
     thread_counts: list[int]
     naive_speedup: list[float]     # vs 1 thread, Listing 1
     private_speedup: list[float]   # vs 1 thread, Listing 2
+    base: str = "MESI"             # the precise base protocol's name
 
     def render(self) -> str:
         """The figure as an aligned text table."""
@@ -193,7 +202,8 @@ class Fig1Result:
             for t, n, p in zip(self.thread_counts, self.naive_speedup,
                                self.private_speedup)
         ]
-        return ("Fig. 1: dot-product speedup vs threads (baseline MESI)\n"
+        return ("Fig. 1: dot-product speedup vs threads (baseline "
+                f"{self.base})\n"
                 + _fmt_table(["threads", "naive (Listing 1)",
                               "privatized (Listing 2)"], rows))
 
@@ -213,9 +223,11 @@ def fig1(thread_counts=(1, 2, 4, 8, 16, 24), n_points: int = 4096,
                                n_points=n_points, **kwargs)
         return _ok(result, "fig1").speedups_vs_first()
 
+    protocol = (options or RunOptions()).protocol
     return Fig1Result(list(thread_counts),
                       speedups("bad_dot_product", approximate=False),
-                      speedups("private_dot_product"))
+                      speedups("private_dot_product"),
+                      _base_name(protocol))
 
 
 # ---------------------------------------------------------------------
@@ -315,6 +327,7 @@ _FIG8_CLASSES = [MessageClass.OTHER, MessageClass.DATA, MessageClass.GETS,
 class Fig8Result:
     #: (app, d) -> {class: messages normalized to the app's d=0 total}
     normalized: dict[tuple[str, int], dict[MessageClass, float]]
+    base: str = "MESI"             # the precise base protocol's name
 
     def total(self, app: str, d: int) -> float:
         """Normalized total traffic of one bar."""
@@ -340,7 +353,7 @@ class Fig8Result:
                     + [f"{self.total(app, d):.3f}"]
                 )
         return ("Fig. 8: normalized coherence traffic (per app, d=0 is "
-                "baseline MESI)\n"
+                f"baseline {self.base})\n"
                 + _fmt_table(
                     ["app", "d"] + [k.value for k in _FIG8_CLASSES]
                     + ["total"], rows))
@@ -356,7 +369,7 @@ def fig8(cache: SweepCache) -> Fig8Result:
             normalized[(app, d)] = {
                 k: traffic.get(k, 0) / base_total for k in _FIG8_CLASSES
             }
-    return Fig8Result(normalized)
+    return Fig8Result(normalized, _base_name(cache.protocol))
 
 
 # ---------------------------------------------------------------------
@@ -367,6 +380,7 @@ class Fig9Result:
     noc_pct: dict[tuple[str, int], float]
     memory_pct: dict[tuple[str, int], float]
     combined_pct: dict[tuple[str, int], float]
+    base: str = "MESI"             # the precise base protocol's name
 
     def average_combined(self, d: int) -> float:
         """Mean total savings across apps at one d."""
@@ -392,7 +406,7 @@ class Fig9Result:
         ] + [
             f"{self.average_combined(d):6.2f}" for d in (4, 8)
         ])
-        return ("Fig. 9: dynamic energy saved (%) vs baseline MESI\n"
+        return (f"Fig. 9: dynamic energy saved (%) vs baseline {self.base}\n"
                 + _fmt_table(
                     ["app", "NoC d=4", "NoC d=8", "Mem d=4", "Mem d=8",
                      "Total d=4", "Total d=8"], rows))
@@ -408,7 +422,7 @@ def fig9(cache: SweepCache) -> Fig9Result:
             noc[(app, d)] = sav.noc_pct
             mem[(app, d)] = sav.memory_pct
             comb[(app, d)] = sav.total_pct
-    return Fig9Result(noc, mem, comb)
+    return Fig9Result(noc, mem, comb, _base_name(cache.protocol))
 
 
 # ---------------------------------------------------------------------
@@ -417,6 +431,7 @@ def fig9(cache: SweepCache) -> Fig9Result:
 @dataclass(slots=True)
 class Fig10Result:
     speedup_pct: dict[tuple[str, int], float]
+    base: str = "MESI"             # the precise base protocol's name
 
     def average(self, d: int) -> float:
         """Mean speedup across apps at one d."""
@@ -435,7 +450,7 @@ class Fig10Result:
         ]
         rows.append(["Avg.", f"{self.average(4):6.2f}",
                      f"{self.average(8):6.2f}"])
-        return ("Fig. 10: speedup (%) vs baseline MESI\n"
+        return (f"Fig. 10: speedup (%) vs baseline {self.base}\n"
                 + _fmt_table(["app", "d=4", "d=8"], rows))
 
 
@@ -448,7 +463,7 @@ def fig10(cache: SweepCache) -> Fig10Result:
             speedup[(app, d)] = (
                 base_cycles / cache.row(app, d).cycles - 1.0
             ) * 100.0
-    return Fig10Result(speedup)
+    return Fig10Result(speedup, _base_name(cache.protocol))
 
 
 # ---------------------------------------------------------------------

@@ -4,8 +4,8 @@ The legacy execution model materializes one frozen ``@dataclass`` op per
 simulated memory reference and round-trips it through a Python generator
 into ``Core._step``'s ``type(op)`` dispatch.  That is flexible — programs
 are arbitrary Python — but it makes op *materialization* the simulator's
-bottleneck, and every point of a d-distance/GI-timeout/protocol sweep
-pays it again for the identical op stream.
+bottleneck, and every GI-timeout/protocol leg of a sweep pays it again
+for the identical op stream.
 
 This module adds a second representation and the machinery around it:
 
@@ -22,11 +22,12 @@ This module adds a second representation and the machinery around it:
   type already resolved and every load's actual value patched in) into a
   ``CompiledProgram`` at zero algorithmic cost.
 * :class:`ProgramSpec` — what workloads hand to ``Machine.add_thread``:
-  a generator *factory* plus a cache key, so a run can record on a cache
-  miss, execute from arrays on a hit, and rebuild the generator for
-  deoptimization or the end-of-run side-effect replay.
-* :class:`ProgramCache` — the (workload, params, seed)-keyed LRU that
-  lets every point of a sweep reuse the compiled arrays.
+  a generator *factory* plus a cache key, so a checkpointing run can
+  record it, a later run can execute from arrays on a hit, and either
+  can rebuild the generator for deoptimization or the end-of-run
+  side-effect replay.
+* :class:`ProgramCache` — the (workload, params, seed)-keyed LRU of
+  those recordings, shared by every later run of the same key.
 * :func:`resync_generator` / :func:`replay_to_completion` — pure-Python
   generator replays driven by the recorded value column.  Generators are
   deterministic functions of the values fed into them, so feeding the
@@ -325,6 +326,15 @@ class ProgramSpec:
 
 class ProgramCache:
     """LRU of compiled programs, keyed by (workload, params, seed, ...).
+
+    Only a machine with a checkpoint recorder records a missed program,
+    because ``Core.snapshot`` can rebuild a core only from a recording;
+    any other miss runs the plain generator and stores nothing.  Most
+    keys are requested once (the key includes the d-distance), and
+    replaying a recording is no faster than running the generator, so a
+    recording no checkpoint needs would cost time and memory for
+    nothing.  A stored program is replayed by every later run of its
+    key.
 
     One process-wide instance (``repro.workloads.registry.PROGRAM_CACHE``)
     is shared by every sweep point; ``--jobs N`` workers each hold their

@@ -20,7 +20,8 @@ __all__ = ["Dram"]
 class Dram:
     """Bank-aware fixed-latency DRAM behind the L2 slices."""
 
-    __slots__ = ("cfg", "engine", "stats", "block_bytes", "_bank_free_at")
+    __slots__ = ("cfg", "engine", "stats", "block_bytes", "_bank_free_at",
+                 "_c")
 
     def __init__(self, cfg: DramConfig, engine: Engine, block_bytes: int,
                  stats: StatGroup | None = None) -> None:
@@ -28,6 +29,7 @@ class Dram:
         self.engine = engine
         self.block_bytes = block_bytes
         self.stats = stats if stats is not None else StatGroup("dram")
+        self._c = self.stats.counters()
         self._bank_free_at = [0] * cfg.num_banks
 
     def _bank(self, block_addr: int) -> int:
@@ -38,12 +40,12 @@ class Dram:
         start = max(self.engine.now, self._bank_free_at[bank])
         queue_delay = start - self.engine.now
         self._bank_free_at[bank] = start + self.cfg.bank_busy_cycles
-        self.stats.queue_cycles += queue_delay
+        self._c["queue_cycles"] += queue_delay
         self.engine.schedule(queue_delay + self.cfg.access_latency, done)
 
     def read(self, block_addr: int, done: Callable[[], None]) -> None:
         """Schedule ``done`` when the block read completes."""
-        self.stats.reads += 1
+        self._c["reads"] += 1
         self._access(block_addr, done)
 
     # -- checkpoint layer ---------------------------------------------
@@ -57,7 +59,7 @@ class Dram:
 
     def write(self, block_addr: int, done: Callable[[], None] | None = None) -> None:
         """Schedule a block writeback; ``done`` is optional (posted write)."""
-        self.stats.writes += 1
+        self._c["writes"] += 1
         self._access(block_addr, done if done is not None else _noop)
 
 

@@ -31,7 +31,7 @@ class Network:
 
     __slots__ = ("cfg", "topo", "engine", "stats", "block_bytes",
                  "_endpoints", "_class_counts", "_in_flight", "fault_hook",
-                 "bus", "_c", "_route_memo")
+                 "bus", "_c", "_route_memo", "_ctrl_bytes", "_data_bytes")
 
     def __init__(self, cfg: NocConfig, engine: Engine, block_bytes: int,
                  stats: StatGroup | None = None) -> None:
@@ -40,6 +40,9 @@ class Network:
         self.topo = build_topology(cfg)
         self.engine = engine
         self.block_bytes = block_bytes
+        # wire sizes (Message.payload_bytes): header, and header + block
+        self._ctrl_bytes = cfg.control_msg_bytes
+        self._data_bytes = block_bytes + cfg.control_msg_bytes
         self.stats = stats if stats is not None else StatGroup("noc")
         self._endpoints: dict[int, Callable[[Message], None]] = {}
         # eagerly materialize the Fig. 8 class counters
@@ -81,14 +84,15 @@ class Network:
         handler = self._endpoints.get(msg.dst)
         if handler is None:
             raise ValueError(f"no endpoint registered at node {msg.dst}")
-        payload = msg.payload_bytes(self.block_bytes, self.cfg.control_msg_bytes)
-        latency = self._entry(msg.src, msg.dst, payload,
-                              msg.mtype.klass)
+        mtype = msg.mtype
+        payload = (self._data_bytes if mtype.carries_data
+                   else self._ctrl_bytes)
+        latency = self._entry(msg.src, msg.dst, payload, mtype.klass)
         bus = self.bus
         if bus is not None:
             bus.emit(Event(
                 self.engine.now, EventKind.MSG, msg.src, msg.block_addr,
-                msg.mtype.label, msg.mtype.klass.value, msg.dst,
+                mtype.label, mtype.klass.value, msg.dst,
             ))
         if self.fault_hook is not None:
             extra_delay += self.fault_hook(msg)
@@ -108,11 +112,7 @@ class Network:
         """Account an internal transfer (e.g. directory <-> L2 slice) and
         return its latency, without delivering a message object.  Used for
         hops the home agent orchestrates directly."""
-        payload = (
-            self.block_bytes + self.cfg.control_msg_bytes
-            if data
-            else self.cfg.control_msg_bytes
-        )
+        payload = self._data_bytes if data else self._ctrl_bytes
         return self._entry(src, dst, payload, klass)
 
     def _entry(self, src: int, dst: int, payload: int,

@@ -210,7 +210,11 @@ class Machine:
         :class:`~repro.isa.compiled.ProgramSpec` (factory + program-cache
         slot — the form :meth:`repro.workloads.base.Workload.bind_program`
         produces).  With ``cfg.compile_programs`` off, a spec is unwrapped
-        to its generator so the machine runs the legacy path.
+        to its generator so the machine runs the legacy path.  A spec the
+        program cache misses is recorded (and stored for later runs of
+        its key) only with a :attr:`checkpoint_recorder` attached, since
+        only a recorded core can be checkpointed; otherwise it runs as a
+        plain generator.
         """
         if not 0 <= core_id < self.cfg.num_cores:
             raise ValueError(f"core {core_id} out of range")
@@ -223,6 +227,7 @@ class Machine:
             self.stats.child("core").child(f"c{core_id}"),
             quantum=self.cfg.core_quantum,
             sync_tables=(self._barriers, self._locks),
+            record=self.checkpoint_recorder is not None,
         )
         self.cores[core_id] = core
         return core

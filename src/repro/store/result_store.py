@@ -112,6 +112,12 @@ class StoreStats:
         return text
 
 
+#: the same counters summed over every handle this process opened, so a
+#: caller can report the store traffic of code that opens its own
+#: handles (each :func:`~repro.harness.parallel.run_grid` does)
+SESSION_STATS = StoreStats()
+
+
 @dataclass(frozen=True, slots=True)
 class StoredRow:
     """Metadata view of one stored row (``payload`` omitted)."""
@@ -219,6 +225,7 @@ class ResultStore:
             (key,)).fetchone()
         if row is None:
             self.stats.misses += 1
+            SESSION_STATS.misses += 1
             return None
         payload, expected = row
         if _payload_hash(payload) != expected:
@@ -233,6 +240,7 @@ class ResultStore:
             self._conn.execute(
                 "UPDATE results SET hits = hits + 1 WHERE key = ?", (key,))
         self.stats.hits += 1
+        SESSION_STATS.hits += 1
         return outcome
 
     def _evict_corrupt(self, key: str) -> None:
@@ -240,6 +248,8 @@ class ResultStore:
             self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
         self.stats.corrupt += 1
         self.stats.misses += 1
+        SESSION_STATS.corrupt += 1
+        SESSION_STATS.misses += 1
 
     def put(self, key: str, outcome: Any, *, kind: str, workload: str = "",
             protocol: str = "", seed: int | None = None) -> None:
@@ -255,6 +265,7 @@ class ResultStore:
                 (key, kind, workload, protocol, seed, payload,
                  _payload_hash(payload), self.code_version, time.time()))
         self.stats.commits += 1
+        SESSION_STATS.commits += 1
 
     def __contains__(self, key: str) -> bool:
         """``key in store`` without touching hit counters."""

@@ -4,6 +4,7 @@ import pytest
 from repro.common.types import (
     AccessType,
     CoherenceState,
+    DirState,
     MessageClass,
     MessageType,
     WordAddr,
@@ -62,6 +63,29 @@ class TestCoherenceState:
         assert CoherenceState.O.readable
         assert not CoherenceState.O.writable
         assert not CoherenceState.O.approximate
+
+    @pytest.mark.parametrize("attr,names", [
+        ("stable", {"I", "S", "E", "M", "O", "GS", "GI"}),
+        ("transient", {"IS_D", "IM_D", "SM_D"}),
+        ("readable", {"S", "E", "M", "O", "GS", "GI"}),
+        ("writable", {"E", "M", "GS", "GI"}),
+        ("approximate", {"GS", "GI"}),
+        ("owns_dirty_data", {"M", "O"}),
+    ])
+    def test_every_flag_pinned(self, attr, names):
+        """Each flag holds on exactly the listed states."""
+        assert {s.name for s in CoherenceState if getattr(s, attr)} == names
+        assert all(type(getattr(s, attr)) is bool for s in CoherenceState)
+
+
+@pytest.mark.parametrize("enum_type", [
+    AccessType, CoherenceState, DirState, MessageClass, MessageType,
+])
+def test_members_hash_by_identity(enum_type):
+    """Members key dicts and sets by identity, not by Enum's name hash."""
+    for member in enum_type:
+        assert hash(member) == object.__hash__(member)
+        assert {member: 1}[member] == 1
 
 
 class TestMessageType:

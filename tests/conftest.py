@@ -45,6 +45,26 @@ def build_machine(num_cores: int = 2, *, d_distance: int = 4,
     return Machine(replace(cfg, protocol=protocol))
 
 
+def attach_program_recorder(machine: Machine) -> Machine:
+    """Give ``machine`` a checkpoint recorder that never captures, so
+    every thread program the program cache misses is recorded and stored
+    (only a checkpointing machine records one).  Call before
+    ``add_thread``."""
+    from repro.sim.state import CheckpointRecorder
+
+    # a period no test run reaches: the recorder captures nothing
+    machine.checkpoint_recorder = CheckpointRecorder(1 << 62)
+    return machine
+
+
+def recording_machines():
+    """Context in which every machine built records its thread programs
+    (:func:`attach_program_recorder` as a construction hook)."""
+    from repro.sim.machine import machine_hook
+
+    return machine_hook(attach_program_recorder)
+
+
 def run_scripts(machine: Machine, *scripts, max_cycles: int = 2_000_000) -> int:
     """Bind generator scripts to cores 0..n-1 and run to completion."""
     for cid, script in enumerate(scripts):

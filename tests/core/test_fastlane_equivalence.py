@@ -18,6 +18,7 @@ replay matches the scalar interpreter op-for-op.
 import numpy as np
 import pytest
 
+import repro.core.core as core_module
 import repro.core.hitrun as hitrun
 from repro.harness.experiment import row_from_result, run_workload_result
 from repro.harness.options import RunOptions
@@ -25,6 +26,7 @@ from repro.sim.state import MachineCheckpoint, machine_fingerprint
 from repro.workloads.registry import (
     ALL_WORKLOADS, MICROBENCHMARKS, PROGRAM_CACHE,
 )
+from tests.conftest import recording_machines
 
 THREADS = 4
 SCALE = 0.05
@@ -51,6 +53,22 @@ def tiny_min_run(monkeypatch):
     monkeypatch.setattr(hitrun, "MIN_RUN", 1)
 
 
+@pytest.fixture
+def merges(monkeypatch):
+    """The cores of every hit run the fast lane merged (each
+    ``try_hit_run`` call that returned True), in order."""
+    merged = []
+
+    def counting(core):
+        ok = hitrun.try_hit_run(core)
+        if ok:
+            merged.append(core.cid)
+        return ok
+
+    monkeypatch.setattr(core_module, "try_hit_run", counting)
+    return merged
+
+
 def _sizing(name):
     if name in MICROBENCHMARKS:
         return {"n_points": 96, "max_value": 7}
@@ -60,23 +78,22 @@ def _sizing(name):
 def _run(name, *, lane, d=4, protocol=None, seed=SEED, warm=True):
     """One workload run; returns (RunRow, fingerprint payload dict).
 
-    ``warm`` primes the program cache first (a recording run) so the
-    measured run executes through the compiled interpreter — the only
-    form the fast lane engages on.  The cache is shared between the
+    ``warm`` first runs the same workload on a machine with a program
+    recorder (only such a machine records into the program cache), so
+    the measured run replays through the compiled interpreter — the
+    only form the fast lane engages on.  The cache is shared between the
     lane-on and lane-off legs, so both replay the *same* compiled
-    program.
+    program; every measured run must hit the cache.
     """
-    if warm and PROGRAM_CACHE is not None:
-        run_workload_result(
-            name, d_distance=d, num_threads=THREADS, seed=seed,
-            protocol=protocol, options=RunOptions(fast_lane=lane),
-            **_sizing(name),
-        )
-    opts = RunOptions(fast_lane=lane)
-    result, cfg = run_workload_result(
-        name, d_distance=d, num_threads=THREADS, seed=seed,
-        protocol=protocol, options=opts, **_sizing(name),
-    )
+    kwargs = dict(d_distance=d, num_threads=THREADS, seed=seed,
+                  protocol=protocol, options=RunOptions(fast_lane=lane),
+                  **_sizing(name))
+    if warm:
+        with recording_machines():
+            run_workload_result(name, **kwargs)
+    hits = PROGRAM_CACHE.hits
+    result, cfg = run_workload_result(name, **kwargs)
+    assert PROGRAM_CACHE.hits > hits, "the measured run did not replay"
     row = row_from_result(name, result, cfg)
     m = result.machine
     from repro.sim.state import fingerprint_payload
@@ -92,11 +109,12 @@ def _run(name, *, lane, d=4, protocol=None, seed=SEED, warm=True):
 
 
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
-def test_fastlane_matches_scalar_per_workload(name, tiny_min_run):
+def test_fastlane_matches_scalar_per_workload(name, tiny_min_run, merges):
     """Every workload: lane-on run byte-equal to lane-off run in row,
     stats, memory image, cache arrays, engine accounting, and
     checkpoint fingerprint."""
     row_on, pay_on = _run(name, lane=True)
+    assert merges, "the fast lane never engaged"
     row_off, pay_off = _run(name, lane=False, warm=False)
     assert row_on == row_off
     assert pay_on == pay_off
@@ -104,13 +122,16 @@ def test_fastlane_matches_scalar_per_workload(name, tiny_min_run):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("name", ["histogram", "bad_dot_product"])
-def test_fastlane_matches_scalar_per_protocol(name, protocol, tiny_min_run):
+def test_fastlane_matches_scalar_per_protocol(name, protocol, tiny_min_run,
+                                             merges):
     """The ISSUE's protocol cross-section: hit-capable state sets differ
     per protocol (GS/GI only exist under approximation policies), so the
     residency-mirror classification exercises different rows — runs must
     still be byte-equal."""
     for d in (0, 4):
+        merges.clear()
         row_on, pay_on = _run(name, lane=True, d=d, protocol=protocol)
+        assert merges, f"d={d}: the fast lane never engaged"
         row_off, pay_off = _run(name, lane=False, d=d, protocol=protocol,
                                 warm=False)
         assert row_on == row_off, f"d={d}"

@@ -55,6 +55,18 @@ class TestCli:
         assert calls
         assert "Fig. 7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("figure,points", [("fig1", 4), ("fig12", 3)])
+    def test_store_banner_reports_every_grid_figure(self, capsys, tmp_path,
+                                                    figure, points):
+        db = str(tmp_path / "sweep.db")
+        argv = [figure, "--threads", "2", "--store", db]
+        assert main(argv) == 0
+        assert (f"[store {db}: 0/{points} hits (0%), {points} committed]"
+                in capsys.readouterr().out)
+        assert main(argv) == 0
+        assert (f"[store {db}: {points}/{points} hits (100%), 0 committed]"
+                in capsys.readouterr().out)
+
     def test_backend_batch_rejects_jobs(self):
         with pytest.raises(SystemExit):
             main(["fig7", "--backend", "batch", "--jobs", "2"])

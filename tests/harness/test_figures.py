@@ -88,6 +88,15 @@ class TestFig1:
         F.fig1(thread_counts=(1, 2), n_points=256, seed=5, options=options)
         assert collected == [seen] * 4
 
+    @pytest.mark.parametrize("protocol,base", [
+        ("ghostwriter", "MESI"), ("moesi", "MOESI"),
+        ("ghostwriter-moesi", "MOESI"),
+    ])
+    def test_title_names_the_precise_base(self, protocol, base):
+        res = F.fig1(thread_counts=(1, 2), n_points=256, seed=5,
+                     options=RunOptions(protocol=protocol))
+        assert f"(baseline {base})" in res.render().splitlines()[0]
+
 
 class TestFig2:
     def test_profiles_cover_apps(self):
@@ -152,3 +161,11 @@ class TestFig12:
         assert len(res.gi_serviced_pct) == 2
         assert all(0 <= e <= 100 for e in res.error_pct)
         assert "Fig. 12" in res.render()
+
+
+def test_sweep_figure_titles_name_the_precise_base():
+    moesi = F.SweepCache(num_threads=2, scale=0.05, seed=99,
+                         protocol="ghostwriter-moesi")
+    for fig in (F.fig8, F.fig9, F.fig10):
+        title = fig(moesi).render().splitlines()[0]
+        assert "baseline MOESI" in title

@@ -19,7 +19,11 @@ from repro.isa.compiled import (
     CompiledProgram, ProgramCache, ProgramRecorder, ProgramSpec,
     lower_trace, replay_to_completion, resync_generator,
 )
+from repro.core import core as core_mod
+from repro.sim.engine import CheckpointUnsupported
 from repro.sim.machine import Machine
+from repro.sim.state import CheckpointRecorder
+from tests.conftest import attach_program_recorder
 
 
 def _prog(ops, **kw):
@@ -197,9 +201,12 @@ _OPS = st.one_of(
 )
 
 
-def _run_streams(streams, compiled, cache):
-    """Run one fixed op stream per core; returns (stats, memory)."""
+def _run_streams(streams, compiled, cache, *, record=False):
+    """Run one fixed op stream per core; returns (stats, memory).
+    ``record`` attaches a program recorder, so cache misses record."""
     machine = Machine(_CFG)
+    if record:
+        attach_program_recorder(machine)
     for cid, stream in enumerate(streams):
         def factory(stream=stream):
             def gen():
@@ -219,13 +226,16 @@ def _run_streams(streams, compiled, cache):
 @given(streams=st.lists(st.lists(_OPS, max_size=40), min_size=2, max_size=2))
 def test_random_streams_round_trip(streams):
     """Lowering + array re-execution of arbitrary op streams is
-    bit-identical to the generator interpreter, for both the recording
-    (cold) and the compiled (warm) run."""
+    bit-identical to the generator interpreter, for an unrecorded run,
+    the recording (cold) run and the compiled (warm) run."""
     baseline = _run_streams(streams, compiled=False, cache=None)
     cache = ProgramCache()
-    cold = _run_streams(streams, compiled=True, cache=cache)
+    first = _run_streams(streams, compiled=True, cache=cache)
+    assert len(cache) == 0, "a run without a recorder was recorded"
+    cold = _run_streams(streams, compiled=True, cache=cache, record=True)
     assert len(cache) == 2, "recordings were not cached"
     warm = _run_streams(streams, compiled=True, cache=cache)
+    assert first == baseline
     assert cold == baseline
     assert warm == baseline
 
@@ -260,8 +270,10 @@ def test_round_trip_with_barriers_and_locks():
     baseline = build(Machine(_CFG), False, None)
     assert baseline[0]["core.c0.barrier_waits"] == 1
     cache = ProgramCache()
-    cold = build(Machine(_CFG), True, cache)
+    first = build(Machine(_CFG), True, cache)
+    cold = build(attach_program_recorder(Machine(_CFG)), True, cache)
     warm = build(Machine(_CFG), True, cache)
+    assert first == baseline
     assert cold == baseline
     assert warm == baseline
 
@@ -279,7 +291,7 @@ def test_deoptimization_on_divergent_load():
         return gen()
 
     cache = ProgramCache()
-    m1 = Machine(_CFG)
+    m1 = attach_program_recorder(Machine(_CFG))
     m1.add_thread(0, ProgramSpec(factory, ("d",), cache))
     m1.run()
     assert side == [0]
@@ -306,16 +318,77 @@ def test_deoptimization_on_divergent_load():
     assert m2.stats.flatten() == m3.stats.flatten()
 
 
+# ---------------------------------------------------------------------
+# recording: only a checkpointing machine records a missed program
+# ---------------------------------------------------------------------
+def _load_store():
+    def gen():
+        v = yield isa.Load(0x40)
+        yield isa.Store(0x44, v + 1)
+    return gen()
+
+
+@pytest.fixture
+def recorders(monkeypatch):
+    """Every ProgramRecorder a core constructs."""
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(ProgramRecorder(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(core_mod, "ProgramRecorder", counting)
+    return made
+
+
+def _request(cache, *, checkpointed=False, run=True):
+    machine = Machine(_CFG)
+    if checkpointed:
+        machine.checkpoint_recorder = CheckpointRecorder(32)
+    core = machine.add_thread(0, ProgramSpec(_load_store, ("rec",), cache))
+    if run:
+        machine.run()
+    return core
+
+
+class TestRecording:
+    def test_plain_machine_never_records(self, recorders):
+        cache = ProgramCache()
+        for _ in range(3):
+            assert _request(cache).done
+        assert recorders == []
+        assert len(cache) == 0 and cache.misses == 3
+
+    def test_checkpointing_machine_records_on_first_request(self, recorders):
+        cache = ProgramCache()
+        _request(cache, checkpointed=True)
+        assert len(recorders) == 1
+        assert ("rec",) in cache
+
+    def test_later_run_replays_a_stored_program(self, recorders):
+        cache = ProgramCache()
+        _request(cache, checkpointed=True)
+        core = _request(cache, run=False)
+        assert core._compiled is not None
+        assert len(recorders) == 1 and cache.hits == 1
+
+    def test_unrecorded_core_cannot_snapshot(self):
+        core = _request(ProgramCache(), run=False)
+        with pytest.raises(CheckpointUnsupported, match="unrecorded"):
+            core.snapshot()
+
+
 def test_compile_programs_off_unwraps_to_generator():
     cfg = replace(_CFG, compile_programs=False)
     cache = ProgramCache()
-    machine = Machine(cfg)
 
     def factory():
         def gen():
             yield isa.Store(0x40, 1)
         return gen()
 
+    # a program recorder would record a compiled run of the spec
+    machine = attach_program_recorder(Machine(cfg))
     machine.add_thread(0, ProgramSpec(factory, ("off",), cache))
     machine.run()
     assert len(cache) == 0  # never recorded: the spec was unwrapped

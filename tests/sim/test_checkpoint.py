@@ -52,7 +52,8 @@ def _scripted_machine(num_cores: int = 2, *, period: int | None = 64,
     if period is not None:
         m.checkpoint_recorder = CheckpointRecorder(period, max_keep=max_keep)
     # a per-machine program cache keeps the cores in recorder/compiled
-    # mode — the snapshotable program forms (a bare generator is not)
+    # mode — the snapshotable program forms (a bare generator is not);
+    # with a recorder attached, even a key's first request records
     cache = ProgramCache()
     for cid in range(num_cores):
         m.add_thread(cid, ProgramSpec(_factory(cid, rounds, salt),

@@ -6,6 +6,7 @@ per-point commits, and content keys that ignore execution-only knobs
 (``jobs``, ``resume``, retry budgets) so the same logical point always
 finds its committed row.
 """
+import dataclasses
 import pickle
 import sqlite3
 
@@ -17,7 +18,7 @@ from repro.store import (
     CODE_VERSION, ResultStore, StoreError, canonical_point, open_store,
     options_fingerprint, point_key,
 )
-from repro.store.result_store import SCHEMA_VERSION
+from repro.store.result_store import SCHEMA_VERSION, SESSION_STATS
 
 
 @pytest.fixture
@@ -71,6 +72,16 @@ class TestRoundTrip:
     def test_open_store_none_path(self):
         assert open_store(None) is None
         assert open_store("") is None
+
+    def test_session_stats_sum_every_handle(self, store, tmp_path):
+        before = dataclasses.replace(SESSION_STATS)
+        store.put("k", 1, kind="row")
+        with ResultStore(tmp_path / "other.db") as other:
+            other.get("k")
+        store.get("k")
+        assert (SESSION_STATS.commits - before.commits,
+                SESSION_STATS.hits - before.hits,
+                SESSION_STATS.misses - before.misses) == (1, 1, 1)
 
     def test_stats_render(self, store):
         store.put("k", 1, kind="row")

@@ -1,18 +1,17 @@
 """Durable, supervised parallel sweep executor.
 
 Every sensitivity study in the harness — the figure sweeps, the ablation
-grids, the fault-rate tables — is a list of *independent* simulator runs
-that were, until this module, replayed serially through one Python event
-loop.  ``fan_out``/``run_grid`` execute such a grid across a
-``multiprocessing`` worker pool while preserving the property the whole
-verification story rests on: **the aggregated results are bit-identical
-to a serial run** (see ``tests/harness/test_parallel.py``).
+grids, the fault-rate tables — is a list of *independent* simulator
+runs.  ``fan_out``/``run_grid`` execute such a grid across worker
+processes while preserving the property the whole verification story
+rests on: **the aggregated results are bit-identical to a serial run**
+(see ``tests/harness/test_parallel.py``).
 
 Design points:
 
-* *Chunked job queue* — jobs are submitted in contiguous chunks
-  (``chunk_size``, default ~4 chunks per worker) so per-job IPC overhead
-  amortizes while stragglers still rebalance across the pool.
+* *Chunked units* — jobs run in contiguous chunks (``chunk_size``,
+  default ~4 chunks per worker) so per-process overhead amortizes while
+  stragglers still rebalance across the ``jobs`` slots.
 * *Crash isolation with a failure taxonomy* — a grid point that raises
   becomes a :class:`GridFailure` row at its index; sibling points
   complete normally.  Failures are classified **permanent**
@@ -27,12 +26,15 @@ Design points:
   ``SIGALRM``) and bounded retries with exponential backoff plus
   deterministic jitter (the jitter comes from :func:`derive_seed`, so a
   retried sweep remains reproducible).
-* *Pool supervision* — a worker that dies outright
-  (``BrokenProcessPool``: segfault, OOM-kill) no longer takes the sweep
-  down: the supervisor respawns the pool, resubmits only the work that
-  had not finished, and degrades the affected items to
-  :class:`GridFailure` rows once their retry budget is spent.  Hung
-  workers that outlive their deadline are terminated the same way.
+* *One process per unit* — the supervisor forks a fresh process for
+  each unit, at most ``jobs`` at a time, and reads the unit's outcomes
+  back over a pipe.  A process that dies (segfault, OOM-kill) or hangs
+  past its deadline is therefore its own unit's fault: a dead chunk
+  re-runs as single items, and a dead single item is retried and then
+  degrades to a transient :class:`GridFailure` row (``WorkerDied`` or
+  ``PointTimeout``).  Nothing escapes ``fan_out``, and if the parent
+  itself raises, every live child is killed before the error
+  propagates.
 * *Durability* — given a :class:`~repro.store.ResultStore`,
   :func:`run_grid` looks every point up by its content address before
   fanning out and commits each outcome atomically as it lands, so a
@@ -45,8 +47,8 @@ Design points:
 :func:`run_grid` is the one way to run grid points: how it runs — worker
 count, backend, retry budget, result store — comes from its
 :class:`~repro.harness.options.RunOptions` alone.  ``jobs=1`` executes
-inline in the calling process (no pool, no pickling) and is the
-reference path the parallel path is tested against.
+inline in the calling process (no child processes, no pickling) and is
+the reference path the parallel path is tested against.
 """
 from __future__ import annotations
 
@@ -56,10 +58,8 @@ import multiprocessing
 import signal
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.harness.experiment import RunRow, run_workload
@@ -205,17 +205,22 @@ def _traceback_tail(limit: int = 3) -> str:
     return " ; ".join(lines[-limit:])
 
 
-def _failure_from(exc: Exception, index: int, item: Any, *,
-                  tb: str = "") -> GridFailure:
-    """Build the :class:`GridFailure` row for one raised grid point."""
+def _failure(index: int, item: Any, error_type: str, message: str,
+             tb: str = "") -> GridFailure:
+    """Build the :class:`GridFailure` row for one failed grid point."""
     workload, protocol, seed = _point_identity(item)
     label = getattr(item, "label", "") or workload
-    error_type = type(exc).__name__
     return GridFailure(
-        index=index, error_type=error_type, message=str(exc),
+        index=index, error_type=error_type, message=message,
         label=str(label), workload=workload, protocol=protocol, seed=seed,
         traceback=tb, permanent=is_permanent_failure(error_type),
     )
+
+
+def _failure_from(exc: Exception, index: int, item: Any, *,
+                  tb: str = "") -> GridFailure:
+    """Build the :class:`GridFailure` row for one raised grid point."""
+    return _failure(index, item, type(exc).__name__, str(exc), tb)
 
 
 # ---------------------------------------------------------------------
@@ -280,7 +285,7 @@ def _guarded(fn: Callable[[Any], Any], index: int, item: Any,
     A positive ``timeout`` arms a per-point ``SIGALRM`` wall-clock
     budget; exceeding it raises :class:`PointTimeout` (a transient
     failure).  Platforms or threads without ``SIGALRM`` simply skip the
-    budget — supervision still bounds hung *workers* via the pool
+    budget — supervision still bounds hung *workers* via the per-unit
     deadline.
     """
     armed = False
@@ -321,55 +326,44 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 # ---------------------------------------------------------------------
 # supervisor
 # ---------------------------------------------------------------------
-#: seconds of slack past a chunk's worker-side alarm budget before the
-#: supervisor declares the worker hung and replaces the pool
+#: seconds of slack past a unit's worker-side alarm budget before the
+#: supervisor declares its process hung and kills it
 _DEADLINE_GRACE = 5.0
 
 
-@dataclass
+@dataclass(eq=False)
 class _Unit:
-    """One in-flight piece of work: a contiguous slice of the grid.
-
-    Initial units are chunks; retry units are always single items so a
-    culprit is isolated from innocent chunk-mates.  ``attempt`` counts
-    executions already *started* for these items; ``not_before`` delays
-    resubmission for backoff.
-    """
+    """A contiguous slice of the grid for one child process: a chunk, or
+    one item (a retry, or an item of a chunk whose process died).
+    ``attempt`` counts executions started; ``not_before`` is backoff."""
 
     start: int
     items: tuple
     attempt: int = 1
     not_before: float = 0.0
-    #: this unit was in flight when a pool broke: it re-runs *alone*
-    #: (quarantine), so a repeat breakage unambiguously identifies the
-    #: culprit and innocents never degrade collaterally
-    suspect: bool = False
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*, terminating live workers.
+def _unit_main(conn, fn, start, items, timeout) -> None:
+    """Child-process entry point: run one unit, send its outcomes."""
+    conn.send(_run_chunk(fn, start, items, timeout))
 
-    Used when a worker hangs past its deadline: ``shutdown`` alone would
-    wait for the hung task forever.  Reaches into the executor's process
-    table (no public API exists); failures to terminate are ignored —
-    the replacement pool works regardless.
-    """
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            proc.terminate()
-        except Exception:       # already dead, or platform says no
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
+
+def _death_message(exitcode: int) -> str:
+    if exitcode < 0:
+        return (f"worker process killed by signal {-exitcode} "
+                f"({signal.strsignal(-exitcode)})")
+    return f"worker process exited with code {exitcode} before returning"
 
 
 class _Supervisor:
-    """Run units across a replaceable process pool until all finalize.
+    """Run every unit in a process of its own, ``jobs`` at a time.
 
     The loop invariant: every grid index is either finalized in
-    ``results`` or present in exactly one queued/in-flight unit.  Pools
-    are disposable — ``BrokenProcessPool`` or a blown deadline discards
-    the pool, re-queues unfinished units (transient-failure accounting
-    applied to the suspects), and a fresh pool picks the queue back up.
+    ``results`` or present in exactly one queued or running unit.  A
+    process that exits without sending its outcomes, or outlives its
+    deadline, was killed by its own unit, so blame is exact: a dead
+    chunk splits into single items and nobody is charged; a dead single
+    item is charged a retry like any transient failure.
     """
 
     def __init__(self, fn, items, jobs, chunk_size, policy, on_result):
@@ -380,20 +374,14 @@ class _Supervisor:
         self.on_result = on_result
         self.results: list[Any] = [None] * len(self.items)
         self.remaining = len(self.items)
-        self.queue: deque[_Unit] = deque(
+        self.queue: list[_Unit] = [
             _Unit(start, tuple(self.items[start:start + chunk_size]))
             for start in range(0, len(self.items), chunk_size)
-        )
-        self.inflight: dict[Any, tuple[_Unit, float | None]] = {}
-        self.pool: ProcessPoolExecutor | None = None
-        self.respawns = 0
-        # a generous global budget: every *item* may break a pool once
-        # per retry (chunks split into singleton suspects after a
-        # breakage), plus slack — beyond this something is systemically
-        # wrong and remaining work degrades to failure rows
-        self.max_respawns = max(4, 2 * len(self.items) * (policy.retries + 1))
+        ]
+        #: result-pipe read end -> (unit, process, deadline)
+        self.running: dict[Any, tuple[_Unit, Any, float | None]] = {}
+        self.context = _pool_context()
 
-    # -- bookkeeping ---------------------------------------------------
     def _finalize(self, index: int, outcome: Any) -> None:
         self.results[index] = outcome
         self.remaining -= 1
@@ -416,229 +404,85 @@ class _Supervisor:
                 outcome = dataclasses.replace(outcome, attempts=unit.attempt)
             self._finalize(index, outcome)
 
-    def _settle_broken(self, unit: _Unit, exc: BaseException, *,
-                       guilty: bool) -> None:
-        """A unit's worker died (or hung): quarantine, retry or degrade.
-
-        ``guilty`` means the breakage is attributable to this *unit*
-        alone (it was the only unit in flight, or it blew its own
-        deadline).  Guilt is only actionable on a **single-item** unit:
-        a guilty chunk still cannot say which of its items killed the
-        worker, so it splits into singleton suspects instead of
-        degrading innocents wholesale.  A guilty singleton is charged
-        retry budget, and once that is spent it degrades to a transient
-        :class:`GridFailure` row.  A non-guilty unit was collateral
-        damage of someone else's breakage — it re-queues without being
-        charged, marked ``suspect`` so the quarantine in
-        :meth:`_submit_eligible` runs it solo and guilt can be assigned
-        next time.
-        """
-        guilty = guilty and len(unit.items) == 1
-        if guilty and unit.attempt > self.policy.retries:
-            for k, item in enumerate(unit.items):
-                workload, protocol, seed = _point_identity(item)
-                self._finalize(unit.start + k, GridFailure(
-                    index=unit.start + k, error_type=type(exc).__name__,
-                    message=str(exc) or "worker process died",
-                    label=str(getattr(item, "label", "") or workload),
-                    workload=workload, protocol=protocol, seed=seed,
-                    permanent=False, attempts=unit.attempt,
-                ))
-            return
-        next_attempt = unit.attempt + 1 if guilty else unit.attempt
-        delay = (self.policy.delay(unit.attempt, unit.start)
-                 if guilty else 0.0)
-        for k, item in enumerate(unit.items):
-            self.queue.append(_Unit(unit.start + k, (item,), next_attempt,
-                                    time.monotonic() + delay, suspect=True))
-
-    def _degrade_everything(self, reason: str) -> None:
-        """Respawn budget exhausted: fail whatever is still pending."""
-        pending = [u for u, _d in self.inflight.values()] + list(self.queue)
-        self.inflight.clear()
-        self.queue.clear()
-        for unit in pending:
-            for k, item in enumerate(unit.items):
-                workload, protocol, seed = _point_identity(item)
-                self._finalize(unit.start + k, GridFailure(
-                    index=unit.start + k, error_type="RuntimeError",
-                    message=reason,
-                    label=str(getattr(item, "label", "") or workload),
-                    workload=workload, protocol=protocol, seed=seed,
-                    permanent=False, attempts=unit.attempt,
-                ))
-
-    # -- pool lifecycle ------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(
-                max_workers=max(1, self.jobs),
-                mp_context=_pool_context(),
-            )
-        return self.pool
-
-    def _discard_pool(self, *, kill: bool) -> None:
-        self.respawns += 1
-        if self.pool is not None:
-            if kill:
-                _kill_pool(self.pool)
-            else:
-                self.pool.shutdown(wait=False, cancel_futures=True)
-            self.pool = None
-
-    def _pop_eligible(self, now: float, *,
-                      suspects_only: bool = False) -> _Unit | None:
-        """The first queued unit whose backoff delay has elapsed."""
-        for _ in range(len(self.queue)):
-            unit = self.queue.popleft()
-            if unit.not_before <= now and (unit.suspect
-                                           or not suspects_only):
-                return unit
-            self.queue.append(unit)
-        return None
-
-    def _gating_units(self) -> list[_Unit]:
-        """The queued units eligible to be submitted next (suspects
-        quarantine the queue: while any exist, only they may run)."""
-        suspects = [u for u in self.queue if u.suspect]
-        return suspects if suspects else list(self.queue)
-
-    def _submit_one(self, unit: _Unit, now: float) -> None:
-        pool = self._ensure_pool()
-        future = pool.submit(_run_chunk, self.fn, unit.start, unit.items,
-                             self.policy.timeout)
-        deadline = None
-        if self.policy.timeout > 0:
-            # the worker-side alarm should fire first; the deadline is a
-            # backstop for a worker stuck ignoring signals
-            budget = self.policy.timeout * len(unit.items)
-            deadline = now + budget + _DEADLINE_GRACE
-        self.inflight[future] = (unit, deadline)
-
-    def _submit_eligible(self) -> None:
-        """Fill the pool up to ``jobs`` in-flight units.
-
-        Capping in-flight submissions at the worker count keeps the
-        suspect set small when a pool breaks: only units actually handed
-        to a worker can have caused it.  While suspect units exist they
-        run strictly **alone** — the quarantine that turns "some worker
-        died" into "this unit kills workers".
-        """
+    def _start_eligible(self) -> None:
+        """Start queued units whose backoff has elapsed, up to ``jobs``."""
         now = time.monotonic()
-        while self.queue and len(self.inflight) < self.jobs:
-            if any(u.suspect for u in self.queue):
-                if self.inflight:
-                    break       # quarantine: wait for the pool to drain
-                unit = self._pop_eligible(now, suspects_only=True)
-                if unit is not None:
-                    self._submit_one(unit, now)
-                break           # solo: exactly one suspect in flight
-            unit = self._pop_eligible(now)
-            if unit is None:
+        for unit in [u for u in self.queue if u.not_before <= now]:
+            if len(self.running) >= self.jobs:
                 break
-            self._submit_one(unit, now)
+            self.queue.remove(unit)
+            conn, child_conn = self.context.Pipe(duplex=False)
+            proc = self.context.Process(
+                target=_unit_main, args=(child_conn, self.fn, unit.start,
+                                         unit.items, self.policy.timeout))
+            proc.start()
+            child_conn.close()  # the child holds the only write end
+            # the worker-side alarm should fire first; the deadline is a
+            # backstop for a process stuck ignoring signals
+            deadline = (now + self.policy.timeout * len(unit.items)
+                        + _DEADLINE_GRACE if self.policy.timeout > 0 else None)
+            self.running[conn] = (unit, proc, deadline)
 
-    # -- the loop ------------------------------------------------------
+    def _wait_timeout(self) -> float | None:
+        """Block until the nearest deadline or (slot free) backoff expiry."""
+        marks = [d for _u, _p, d in self.running.values() if d is not None]
+        if len(self.running) < self.jobs:
+            marks += [u.not_before for u in self.queue]
+        return max(0.0, min(marks) - time.monotonic()) if marks else None
+
+    def _reap(self, conn, *, hung: bool) -> None:
+        """Collect one finished child, or kill a hung one, and settle."""
+        unit, proc, _deadline = self.running[conn]
+        pairs = None
+        if hung:
+            proc.kill()
+        else:
+            try:
+                pairs = conn.recv()
+            except (EOFError, OSError):     # it exited without a result
+                pass
+        proc.join()
+        conn.close()
+        del self.running[conn]
+        if pairs is not None:
+            self._settle(unit, pairs)
+        elif len(unit.items) > 1:
+            # a chunk cannot say which item killed it: split, charge nobody
+            self.queue.extend(_Unit(unit.start + k, (item,), unit.attempt)
+                              for k, item in enumerate(unit.items))
+        else:
+            error = (("PointTimeout", f"worker exceeded its "
+                      f"{self.policy.timeout:.1f}s budget and was killed")
+                     if hung else
+                     ("WorkerDied", _death_message(proc.exitcode)))
+            self._settle(unit, [(unit.start, _failure(
+                unit.start, unit.items[0], *error))])
+
     def run(self) -> list[Any]:
         """Execute every unit; the ordered outcome list."""
         try:
             while self.remaining:
-                self._submit_eligible()
-                if not self.inflight:
-                    # everything submittable is backoff-delayed; sleep
-                    # until the gating set (suspects first) is eligible
-                    now = time.monotonic()
-                    soonest = min(u.not_before for u in self._gating_units())
-                    time.sleep(max(0.0, soonest - now))
+                self._start_eligible()
+                if not self.running:    # everything queued is backing off
+                    time.sleep(self._wait_timeout())
                     continue
-                self._turn()
+                ready = set(wait(
+                    [*self.running, *(p.sentinel for _u, p, _d
+                                      in self.running.values())],
+                    timeout=self._wait_timeout()))
+                now = time.monotonic()
+                for conn, (_unit, proc, deadline) in list(
+                        self.running.items()):
+                    if conn in ready or proc.sentinel in ready:
+                        self._reap(conn, hung=False)
+                    elif deadline is not None and now >= deadline:
+                        self._reap(conn, hung=True)
         finally:
-            if self.pool is not None:
-                self.pool.shutdown(wait=False, cancel_futures=True)
-                self.pool = None
+            for conn, (_unit, proc, _deadline) in self.running.items():
+                proc.kill()     # the parent raised: leave no orphans
+                proc.join()
+                conn.close()
         return self.results
-
-    def _wait_timeout(self) -> float | None:
-        """How long the next ``wait`` may block: until the nearest
-        in-flight deadline or queued-backoff expiry, else forever."""
-        now = time.monotonic()
-        marks = [d for _u, d in self.inflight.values() if d is not None]
-        if len(self.inflight) < self.jobs:
-            marks += [u.not_before for u in self.queue if u.not_before > now]
-        if not marks:
-            return None
-        return max(0.01, min(marks) - now)
-
-    def _turn(self) -> None:
-        # a break fails *every* in-flight future; guilt is attributable
-        # only when a single unit was in flight (the quarantine ensures
-        # repeat offenders end up in exactly that situation)
-        solo = len(self.inflight) == 1
-        done, _pending = wait(set(self.inflight),
-                              timeout=self._wait_timeout(),
-                              return_when=FIRST_COMPLETED)
-        if not done:
-            self._reap_hung()
-            return
-        broken = False
-        broken_exc: BaseException = BrokenProcessPool(
-            "worker process pool broke")
-        for future in done:
-            unit, _deadline = self.inflight.pop(future)
-            try:
-                pairs = future.result()
-            except BaseException as exc:
-                broken = True
-                broken_exc = exc
-                self._settle_broken(unit, exc, guilty=solo)
-            else:
-                self._settle(unit, pairs)
-        if broken:
-            self._on_pool_broken(broken_exc)
-
-    def _reap_hung(self) -> None:
-        """``wait`` timed out: kill hung workers, re-queue the rest."""
-        now = time.monotonic()
-        expired = {f for f, (_u, d) in self.inflight.items()
-                   if d is not None and now >= d}
-        if not expired:
-            return              # woke up for a backoff expiry — harmless
-        # the pool cannot cancel a running task: replace the pool, treat
-        # expired units as transient timeouts, re-queue the innocents
-        self._discard_pool(kill=True)
-        for future, (unit, _deadline) in list(self.inflight.items()):
-            if future in expired:
-                # a blown deadline is per-unit evidence: guilty
-                self._settle_broken(
-                    unit, PointTimeout(
-                        f"worker exceeded {self.policy.timeout:.1f}s "
-                        "point budget and was terminated"),
-                    guilty=True)
-            else:
-                self.queue.append(dataclasses.replace(unit, not_before=0.0))
-        self.inflight.clear()
-        self._check_respawn_budget()
-
-    def _on_pool_broken(self, exc: BaseException) -> None:
-        """Drain doomed futures, then replace the pool."""
-        # once the pool is broken the executor fails every outstanding
-        # future promptly; drain them so their units re-queue
-        for future in list(self.inflight):
-            unit, _deadline = self.inflight.pop(future)
-            try:
-                pairs = future.result(timeout=30.0)
-            except BaseException:
-                self._settle_broken(unit, exc, guilty=False)
-            else:
-                self._settle(unit, pairs)
-        self._discard_pool(kill=False)
-        self._check_respawn_budget()
-
-    def _check_respawn_budget(self) -> None:
-        if self.respawns > self.max_respawns:
-            self._degrade_everything(
-                f"worker pool replaced {self.respawns} times; "
-                "giving up on the remaining points")
 
 
 def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
@@ -646,7 +490,7 @@ def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
             retry: RetryPolicy = RetryPolicy(),
             on_result: Callable[[int, Any], None] | None = None
             ) -> list[Any]:
-    """Apply ``fn`` to every item, optionally across a supervised pool.
+    """Apply ``fn`` to every item, optionally across worker processes.
 
     Returns one outcome per item, **in input order**: ``fn``'s return
     value, or a :class:`GridFailure` if that item raised (after any
@@ -675,7 +519,7 @@ def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
 
 def _attempt_serial(fn: Callable[[Any], Any], index: int, item: Any,
                     policy: RetryPolicy) -> Any:
-    """The inline path: guard + retry/backoff, no pool."""
+    """The inline path: guard + retry/backoff, no child processes."""
     attempt = 1
     while True:
         outcome = _guarded(fn, index, item, policy.timeout)

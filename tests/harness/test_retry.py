@@ -1,12 +1,15 @@
-"""Retry, timeout and pool-supervision tests for the sweep executor.
+"""Retry, timeout and supervision tests for the sweep executor.
 
 Covers the robustness half of the durable-sweep work: transient
 failures retry with bounded, deterministic backoff; permanent failures
-never retry; per-point wall-clock budgets fire in the worker; and a
-worker that dies outright (``BrokenProcessPool``) degrades only its own
-grid point while siblings complete on a respawned pool (satellite 1).
+never retry; per-point wall-clock budgets fire in the worker; a worker
+process that dies outright (``WorkerDied``) or hangs past its deadline
+degrades only its own grid point while every sibling returns its row;
+and a parent that raises mid-grid leaves no child process behind.
 """
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -36,7 +39,7 @@ def _sleep_on_two(x):
 
 def _die_on_two(x):
     if x == 2:
-        os._exit(1)          # hard worker death: BrokenProcessPool
+        os._exit(1)          # hard worker death: WorkerDied
     return x * 10
 
 
@@ -57,6 +60,40 @@ def _die_once_marker(arg):
         with open(marker, "w") as fh:
             fh.write("died once")
         os._exit(1)
+    return x * 10
+
+
+def _fault_point(arg):
+    """``(x, action, seconds, marker_dir)``: log the run, then act.
+
+    Every execution appends a line to ``marker_dir/ran<x>`` (so a test
+    can count runs across processes) and sleeps ``seconds``.  ``die``
+    kills the worker every time, ``die_once`` and ``flaky_once`` only on
+    the first run; ``sigkill`` kills it by signal; ``hang`` ignores
+    ``SIGALRM`` and sleeps past any budget, so only the supervisor's
+    deadline can stop it.
+    """
+    x, action, seconds, marker_dir = arg
+    path = os.path.join(marker_dir, f"ran{x}")
+    first = not os.path.exists(path)
+    with open(path, "a") as fh:
+        fh.write("ran\n")
+    if action == "hang":
+        signal.signal(signal.SIGALRM, signal.SIG_IGN)
+        time.sleep(60.0)
+    time.sleep(seconds)
+    if action == "die" or (action == "die_once" and first):
+        os._exit(1)
+    if action == "sigkill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if action == "flaky_once" and first:
+        raise OSError("transient hiccup")
+    return x * 10
+
+
+def _slow_on_one(x):
+    if x == 1:
+        time.sleep(3.0)
     return x * 10
 
 
@@ -102,6 +139,7 @@ class TestRetryPolicy:
         assert not is_permanent_failure("OSError")
         assert not is_permanent_failure("PointTimeout")
         assert not is_permanent_failure("BrokenProcessPool")
+        assert not is_permanent_failure("WorkerDied")
         assert "ValueError" in PERMANENT_ERRORS
 
 
@@ -218,7 +256,7 @@ class TestTimeouts:
 
 
 # ---------------------------------------------------------------------
-# pool supervision (satellite 1: BrokenProcessPool degrades, not crashes)
+# supervision: a dead worker degrades its point, never the sweep
 # ---------------------------------------------------------------------
 class TestPoolSupervision:
     def test_dead_worker_degrades_only_its_point(self):
@@ -226,11 +264,11 @@ class TestPoolSupervision:
         assert out[0] == 10 and out[2] == 30 and out[3] == 40
         assert isinstance(out[1], GridFailure)
         assert not out[1].permanent   # worker death is transient-class
-        assert "BrokenProcessPool" in out[1].error_type
+        assert "WorkerDied" in out[1].error_type
 
     def test_dead_worker_in_chunk_spares_chunk_mates(self):
         # chunk_size=2 puts the killer in a chunk with an innocent; the
-        # quarantine re-runs the innocents solo and they complete
+        # dead chunk re-runs as single items and the innocent completes
         out = fan_out(_die_on_two, [1, 2, 3, 4], jobs=2, chunk_size=2)
         assert out[0] == 10 and out[2] == 30 and out[3] == 40
         assert isinstance(out[1], GridFailure)
@@ -252,7 +290,81 @@ class TestPoolSupervision:
 
 
 # ---------------------------------------------------------------------
-# failure reporting (satellite 2: identity + traceback in render())
+# the supervision contract, by where the culprit dies or hangs
+# ---------------------------------------------------------------------
+#: case -> (items as (x, action, seconds), chunk_size, retry policy)
+_FAULT_CASES = {
+    "first_unit_dies_while_rest_start": (
+        [(1, "die", 0.0), (2, "ok", 0.05), (3, "ok", 0.05), (4, "ok", 0.0)],
+        1, RetryPolicy(retries=0, **_FAST)),
+    "shares_a_chunk_with_innocents": (
+        [(1, "ok", 0.0), (2, "die", 0.0), (3, "ok", 0.0), (4, "ok", 0.0)],
+        2, RetryPolicy(retries=0, **_FAST)),
+    "dies_while_sibling_backs_off": (
+        [(1, "flaky_once", 0.0), (2, "sigkill", 0.1), (3, "ok", 0.0)],
+        1, RetryPolicy(retries=1, backoff_base=0.4, jitter=0.0)),
+    "dies_once_then_recovers": (
+        [(1, "ok", 0.0), (2, "die_once", 0.0), (3, "ok", 0.0)],
+        1, RetryPolicy(retries=1, **_FAST)),
+    "hangs_while_sibling_mid_run": (
+        # the hang is killed at 1.3 s, while item 1 runs from 0.7 s to 1.5 s
+        [(2, "hang", 0.0), (3, "ok", 0.7), (1, "ok", 0.8)],
+        1, RetryPolicy(retries=0, timeout=1.0, **_FAST)),
+}
+
+#: how each culprit that does not recover fails
+_DEATHS = {
+    "die": ("WorkerDied", "exited with code 1"),
+    "sigkill": ("WorkerDied", "killed by signal 9"),
+    "hang": ("PointTimeout", "budget"),
+}
+
+
+class TestFaultPoints:
+    """Wherever the culprit dies or hangs, every innocent returns its
+    row, the culprit degrades (or recovers on retry) and no exception
+    escapes ``fan_out``."""
+
+    @pytest.mark.parametrize("case", sorted(_FAULT_CASES))
+    def test_contract(self, case, tmp_path, monkeypatch):
+        import repro.harness.parallel as par
+        monkeypatch.setattr(par, "_DEADLINE_GRACE", 0.3)
+        spec, chunk_size, retry = _FAULT_CASES[case]
+        repeats = 10 if case == "first_unit_dies_while_rest_start" else 1
+        for rep in range(repeats):
+            marker_dir = tmp_path / str(rep)
+            marker_dir.mkdir()
+            items = [(x, action, secs, str(marker_dir))
+                     for x, action, secs in spec]
+            out = fan_out(_fault_point, items, jobs=2,
+                          chunk_size=chunk_size, retry=retry)
+            for (x, action, _secs), outcome in zip(spec, out):
+                if action in _DEATHS:
+                    error_type, message = _DEATHS[action]
+                    assert isinstance(outcome, GridFailure), (case, outcome)
+                    assert outcome.error_type == error_type
+                    assert message in outcome.message
+                    assert not outcome.permanent
+                else:
+                    assert outcome == x * 10, (case, x, outcome)
+                if action == "ok" and chunk_size == 1:
+                    # a sibling's death never re-runs an innocent
+                    ran = (marker_dir / f"ran{x}").read_text().count("ran")
+                    assert ran == 1, (case, x, ran)
+
+    def test_parent_raise_leaves_no_orphaned_workers(self):
+        def commit_fails(index, outcome):
+            raise OSError("store commit failed")
+        t0 = time.monotonic()
+        with pytest.raises(OSError, match="store commit failed"):
+            fan_out(_slow_on_one, [1, 2, 3], jobs=2, chunk_size=1,
+                    on_result=commit_fails)
+        assert time.monotonic() - t0 < 3.0   # did not wait out the sleeper
+        assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------
+# failure reporting: identity + traceback in render()
 # ---------------------------------------------------------------------
 class TestFailureReporting:
     def test_render_names_the_point_and_the_traceback(self):

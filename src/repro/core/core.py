@@ -113,9 +113,6 @@ class Core:
             "stall_cycles",
         )
         self._sync_tables = sync_tables
-        # the miss/wakeup continuation handed to the L1 and sync objects,
-        # bound once rather than per access
-        self._resume = self._resume_with
         # restorable identity of this core's self-reschedule events
         # (start and quantum yields) — see repro.sim.state
         self._step_tag = ("core_step", cid)
@@ -437,7 +434,10 @@ class Core:
             pc = self._cpc
             validate = self._compiled.validate_loads
             l1 = self.l1
-            resume = self._resume
+            # the miss/wakeup continuation handed to the L1 and sync
+            # objects, bound once per step rather than per access (and
+            # not stored on the core, where it would be a self-cycle)
+            resume = self._resume_with
             while elapsed < budget:
                 if self._awaiting_load:
                     # a missed load retired; the delivered value must
@@ -545,7 +545,7 @@ class Core:
 
         program = self.program
         rec = self._recorder
-        resume = self._resume
+        resume = self._resume_with
         while elapsed < budget:
             try:
                 if self._pending_send is not None:

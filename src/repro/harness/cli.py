@@ -197,6 +197,16 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if crashed else 0
 
 
+def _execution_label(args) -> str:
+    """How the sweep grid ran: in one batch process, in worker
+    processes, or serially in this process."""
+    if args.backend == "batch":
+        return "batch"
+    if args.jobs > 1:
+        return f"{args.jobs} worker processes"
+    return "serial"
+
+
 def _run_figures(wanted, args, cache) -> int:
     """Run each requested figure; returns the crashed-figure count."""
     sweep_wanted = [f for f in wanted if f in _SWEEP_FIGS]
@@ -207,7 +217,7 @@ def _run_figures(wanted, args, cache) -> int:
         t0 = time.time()
         probed = _store_probes(args)
         cache.prefetch(ds=ds)
-        print(f"[sweep prefetch x{args.jobs} jobs, {args.backend}: "
+        print(f"[sweep prefetch, {_execution_label(args)}: "
               f"{time.time() - t0:.1f}s]\n")
         _store_banner(args, probed)
     crashed = 0

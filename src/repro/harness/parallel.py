@@ -499,12 +499,14 @@ def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
     moment each item finalizes, in completion (not input) order — the
     hook a result store uses for per-point commits.  ``jobs=1`` (the
     default) runs inline — same guard, same retry policy, no processes —
-    which is the serial reference path.  ``fn`` and the items must be
-    picklable when ``jobs > 1``.
+    which is the serial reference path.  Any ``jobs > 1`` grid, even a
+    one-item one, runs in worker processes, so a worker death is always
+    that item's :class:`GridFailure`, never the caller's.  ``fn`` and the
+    items must be picklable when ``jobs > 1``.
     """
     items = list(items)
     jobs = max(1, int(jobs))
-    if jobs == 1 or len(items) <= 1:
+    if jobs == 1 or not items:
         results = []
         for index, item in enumerate(items):
             outcome = _attempt_serial(fn, index, item, retry)

@@ -74,6 +74,12 @@ class Network:
             raise ValueError(f"node {node} already registered")
         self._endpoints[node] = handler
 
+    def clear_endpoints(self) -> None:
+        """Drop every node's handler.  The handlers hold the controllers,
+        which hold this network, so the machine clears them when its run
+        ends to let the whole machine be freed by reference counting."""
+        self._endpoints.clear()
+
     # -- transport -------------------------------------------------------
     def send(self, msg: Message, extra_delay: int = 0) -> None:
         """Account and deliver ``msg`` after its modeled latency.

@@ -53,7 +53,8 @@ class Engine:
         self.events_executed = 0
         self._running = False
         #: optional context provider appended to timeout diagnostics —
-        #: the machine installs one reporting per-core finish status
+        #: the machine installs one reporting per-core finish status for
+        #: the duration of each run
         self.timeout_hook: Callable[[], str] | None = None
         #: the active run()'s max_cycles bound; the hit-run fast lane
         #: refuses to merge a step past it so the timeout fires at the

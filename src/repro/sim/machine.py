@@ -10,9 +10,19 @@ directory controller), so each mesh endpoint demultiplexes incoming
 messages by type: requests/responses addressed to the home go to the
 agent, everything else to the L1.  The two message sets are disjoint by
 construction.
+
+Lifetime: a finished machine is freed by reference counting as soon as
+its last user drops it, never left for the cyclic collector.  Nothing
+the machine owns holds it strongly: the periodic components (invariant
+monitor, watchdog, fault injector, metrics timeline) get a weak proxy
+of it.  The wiring that must point back while events run — the
+network's endpoint handlers, which hold the controllers that hold the
+network, and the engine's timeout hook — is run-scoped and released
+when :meth:`Machine.run` or :meth:`Machine.resume` returns or raises.
 """
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -114,23 +124,26 @@ class Machine:
         self._locks: list[Lock] = []
         for node in range(cfg.noc.num_nodes):
             self.network.register(node, self._make_endpoint(node))
+        # components that point back at the machine hold it weakly (see
+        # the module docstring)
+        me = weakref.proxy(self)
         # verification-and-faults layer (all off by default; see
         # VerifyConfig / FaultConfig)
         self.monitor: InvariantMonitor | None = None
         if cfg.verify.monitor_period:
             self.monitor = InvariantMonitor(
-                self, cfg.verify.monitor_period,
+                me, cfg.verify.monitor_period,
                 check_values=cfg.verify.check_values,
                 policy=cfg.faults.policy,
             )
         self.watchdog: ProgressWatchdog | None = None
         if cfg.verify.watchdog_interval:
             self.watchdog = ProgressWatchdog(
-                self, cfg.verify.watchdog_interval, cfg.verify.watchdog_stalls
+                me, cfg.verify.watchdog_interval, cfg.verify.watchdog_stalls
             )
         self.injector: FaultInjector | None = None
         if cfg.faults.active:
-            self.injector = FaultInjector(self, cfg.faults)
+            self.injector = FaultInjector(me, cfg.faults)
         # observability layer (all off by default; see ObsConfig)
         self.bus: EventBus | None = None
         self.recorder: EventRecorder | None = None
@@ -146,7 +159,7 @@ class Machine:
                 self.flight = FlightRecorder(obs.flight_depth)
                 bus.subscribe(self.flight.record)
         if obs.timeline_interval:
-            self.timeline = MetricsTimeline(self, obs.timeline_interval)
+            self.timeline = MetricsTimeline(me, obs.timeline_interval)
         # checkpoint layer (off by default; see VerifyConfig)
         self.checkpoint_recorder = None
         if cfg.verify.checkpoint_period:
@@ -264,7 +277,6 @@ class Machine:
         active = [c for c in self.cores if c is not None]
         if not active:
             raise SimulationError("no thread programs bound")
-        self.engine.timeout_hook = self._timeout_context
         if self.monitor is not None:
             self.monitor.start()
         if self.watchdog is not None:
@@ -275,12 +287,7 @@ class Machine:
             self.timeline.start()
         for core in active:
             core.start()
-        try:
-            end = self._drain(max_cycles)
-            return self._finalize(active, end)
-        except (SimulationError, InvariantViolation) as exc:
-            self._attach_checkpoint(exc)
-            raise
+        return self._execute(active, max_cycles)
 
     def resume(self, max_cycles: int = 500_000_000) -> int:
         """Drain the queue of a machine re-animated from a checkpoint.
@@ -297,6 +304,11 @@ class Machine:
         active = [c for c in self.cores if c is not None]
         if not active:
             raise SimulationError("no thread programs bound")
+        return self._execute(active, max_cycles)
+
+    def _execute(self, active: list[Core], max_cycles: int) -> int:
+        """Drain and finalize, holding the run-scoped wiring only for
+        the duration (see the module docstring)."""
         self.engine.timeout_hook = self._timeout_context
         try:
             end = self._drain(max_cycles)
@@ -304,6 +316,9 @@ class Machine:
         except (SimulationError, InvariantViolation) as exc:
             self._attach_checkpoint(exc)
             raise
+        finally:
+            self.engine.timeout_hook = None
+            self.network.clear_endpoints()
 
     #: after an unsafe window boundary, keep trying for this many more
     #: cycle-batches before giving the window up — misses cluster, so a

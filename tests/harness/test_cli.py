@@ -1,4 +1,6 @@
 """Tests for the command-line interface."""
+import re
+
 import pytest
 
 from repro.harness.cli import main
@@ -66,6 +68,22 @@ class TestCli:
         assert main(argv) == 0
         assert (f"[store {db}: {points}/{points} hits (100%), 0 committed]"
                 in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("flags,label", [
+        (["--jobs", "1"], "serial"),
+        (["--jobs", "2"], "2 worker processes"),
+        (["--backend", "batch"], "batch"),
+    ])
+    def test_prefetch_banner_names_how_the_sweep_ran(self, capsys, flags,
+                                                     label):
+        assert main(["fig7", "--threads", "2", "--scale", "0.05",
+                     *flags]) == 0
+        banners = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[sweep prefetch")]
+        assert len(banners) == 1
+        # CI strips timing banners from its --jobs diff by this pattern
+        assert re.fullmatch(r"\[.*[0-9]s\]", banners[0])
+        assert banners[0].startswith(f"[sweep prefetch, {label}: ")
 
     def test_backend_batch_rejects_jobs(self):
         with pytest.raises(SystemExit):

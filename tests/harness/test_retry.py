@@ -10,7 +10,11 @@ and a parent that raises mid-grid leaves no child process behind.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,7 @@ from repro.harness.parallel import (
 from repro.verify.watchdog import DeadlockError
 
 _FAST = dict(backoff_base=0.0, backoff_max=0.0)
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 # ---------------------------------------------------------------------
@@ -265,6 +270,28 @@ class TestPoolSupervision:
         assert isinstance(out[1], GridFailure)
         assert not out[1].permanent   # worker death is transient-class
         assert "WorkerDied" in out[1].error_type
+
+    def test_one_item_grid_dies_in_a_worker_not_the_caller(self):
+        # run in a child interpreter: were the lone item run inline, its
+        # os._exit would end the caller, which must not be pytest itself
+        script = textwrap.dedent("""
+            import os
+            from repro.harness.parallel import GridFailure, fan_out
+
+            def die(x):
+                os._exit(3)
+
+            out = fan_out(die, [1], jobs=2)
+            assert len(out) == 1 and isinstance(out[0], GridFailure), out
+            print(out[0].error_type)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=_SRC),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "WorkerDied"
 
     def test_dead_worker_in_chunk_spares_chunk_mates(self):
         # chunk_size=2 puts the killer in a chunk with an innocent; the

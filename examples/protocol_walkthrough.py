@@ -17,6 +17,7 @@ Run:  python examples/protocol_walkthrough.py
 from repro.common.config import small_config
 from repro.common.types import MessageClass
 from repro.isa.instructions import Compute, Load, Scribble, SetAprx, Store
+from repro.obs.events import Event, EventKind
 from repro.sim.machine import Machine
 
 BLOCK = 0x4000
@@ -28,12 +29,15 @@ def _machine(num_cores: int, d: int, gi_timeout: int = 1024):
     cfg = small_config(num_cores=num_cores, d_distance=d,
                        gi_timeout=gi_timeout)
     machine = Machine(cfg)
-    for l1 in machine.l1s:
-        l1.transition_hook = lambda cyc, node, blk, old, new, why: print(
-            f"    [cycle {cyc:>4}] core {node}: {old.value:>4} -> "
-            f"{new.value:<4} ({why})"
-        )
+    machine.attach_bus().subscribe(_show, kinds={EventKind.STATE})
     return machine
+
+
+def _show(ev: Event) -> None:
+    """Print one L1 state transition as it happens."""
+    old, new = ev.what.split("->")
+    print(f"    [cycle {ev.cycle:>4}] core {ev.node}: {old:>4} -> "
+          f"{new:<4} ({ev.info})")
 
 
 def migratory(d: int) -> None:

@@ -11,6 +11,7 @@ Run:  python examples/quickstart.py
 from repro.common.config import small_config
 from repro.common.types import MessageClass
 from repro.isa.instructions import Compute, Load, Scribble, SetAprx, Store
+from repro.obs.events import Event, EventKind
 from repro.sim.machine import Machine
 
 
@@ -20,11 +21,12 @@ def main() -> None:
     machine = Machine(cfg)
 
     # print every coherence transition as it happens
-    for l1 in machine.l1s:
-        l1.transition_hook = lambda cyc, node, blk, old, new, why: print(
-            f"  [cycle {cyc:>4}] core {node}: block {blk:#x} "
-            f"{old.value:>4} -> {new.value:<4} ({why})"
-        )
+    def show(ev: Event) -> None:
+        old, new = ev.what.split("->")
+        print(f"  [cycle {ev.cycle:>4}] core {ev.node}: block {ev.addr:#x} "
+              f"{old:>4} -> {new:<4} ({ev.info})")
+
+    machine.attach_bus().subscribe(show, kinds={EventKind.STATE})
 
     BLOCK = 0x4000
 

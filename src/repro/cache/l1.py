@@ -140,8 +140,6 @@ class L1Controller:
         #: event bus (repro.obs); None keeps every emission site to a
         #: single attribute check
         self.bus = None
-        #: optional observer: fn(cycle, node, block, old_state, new_state, why)
-        self.transition_hook: Callable[..., None] | None = None
         #: optional observer of conventional-store commits:
         #: fn(block, words) is called whenever this L1 becomes the unique
         #: M copy with new data (store hit on E/M, fill+store, upgrade
@@ -171,9 +169,6 @@ class L1Controller:
         else:
             self._mirror.pop(tag, None)
         if old is not new and old is not None:
-            hook = self.transition_hook
-            if hook is not None:
-                hook(self.engine.now, self.node, line.tag, old, new, why)
             bus = self.bus
             if bus is not None:
                 bus.emit(Event(
@@ -539,10 +534,6 @@ class L1Controller:
         else:
             raise ProtocolError(f"evicting line in transient state {state}")
         if state is not _S.I:
-            if self.transition_hook is not None:
-                self.transition_hook(
-                    self.engine.now, self.node, block, state, _S.I, "eviction"
-                )
             bus = self.bus
             if bus is not None:
                 bus.emit(Event(

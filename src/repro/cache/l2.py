@@ -62,10 +62,6 @@ class L2Slice:
         self._c["read_hits"] += 1
         return line.words.copy()
 
-    def contains(self, block_addr: int) -> bool:
-        """Tag-presence probe without statistics side effects."""
-        return self.array.lookup(block_addr, touch=False) is not None
-
     def fill(
         self, block_addr: int, words: list[int], dirty: bool
     ) -> EvictedBlock | None:

@@ -237,10 +237,6 @@ class CacheArray:
             if line.valid:
                 yield line
 
-    def set_of(self, block_addr: int) -> list[CacheLine]:
-        """The ways of the set this block maps to."""
-        return self._ways((block_addr >> self._blk_shift) & self._set_mask)
-
     def position_of(self, line: CacheLine, block_addr: int) -> tuple[int, int]:
         """``(set_index, way)`` of a resident line.
 

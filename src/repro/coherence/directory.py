@@ -538,10 +538,6 @@ class DirectoryAgent:
         """True when no transaction is active or queued on any block."""
         return all(not e.busy and not e.pending for e in self._entries.values())
 
-    def entries_view(self) -> dict[int, DirEntry]:
-        """Shallow copy of the entry map (for invariant checking)."""
-        return dict(self._entries)
-
     # ------------------------------------------------------------------
     # checkpoint layer
     # ------------------------------------------------------------------

@@ -472,10 +472,6 @@ class SimConfig:
             gw = replace(gw, gi_timeout=gi_timeout)
         return replace(self, ghostwriter=gw)
 
-    def with_cores(self, num_cores: int) -> "SimConfig":
-        """Copy with a different core count (thread-sweep helper)."""
-        return replace(self, num_cores=num_cores)
-
     def home_directory(self, block_addr: int) -> int:
         """NoC node of the directory controller owning this block."""
         return self.noc.home_directory(block_addr, self.block_bytes)

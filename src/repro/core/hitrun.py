@@ -88,8 +88,7 @@ def try_hit_run(core) -> bool:
     scheduled); False means "execute scalar" with no state touched.
     """
     l1 = core.l1
-    if (l1.bus is not None or l1.transition_hook is not None
-            or l1.commit_hook is not None):
+    if l1.bus is not None or l1.commit_hook is not None:
         return False
     engine = core.engine
     if engine.until_active:

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.harness.experiment import (
-    DEFAULT_THREADS, experiment_config, row_from_result, run_workload_result,
+    DEFAULT_THREADS, RunRow, experiment_config, row_from_result,
+    run_workload_result,
 )
 from repro.harness.parallel import (
     GridFailure, GridPoint, RetryPolicy, _attempt_serial,
@@ -177,32 +178,33 @@ def _run_lockstep_group(points, idxs, policy, emit, rpt) -> None:
         return _attempt_serial(_rep_run, lane.payload,
                                points[lane.payload], policy)
 
+    def served(i: int, out: RepRun):
+        """Point ``i``'s row from ``out``, or its failure if that raised."""
+        try:
+            return _shared_row(points[i], out)
+        except Exception as exc:
+            return _failure_from(exc, i, points[i], tb=_traceback_tail())
+
     for rep, out, shared in run_group(lanes, run_rep):
         if not isinstance(out, RepRun):
             # representative failed: its outcome is its own (a
             # GridFailure); nobody shared it, the rest re-seeded
             emit(rep.payload, out)
             continue
-        try:
-            emit(rep.payload, _shared_row(points[rep.payload], out))
-        except Exception as exc:
-            emit(rep.payload, _failure_from(exc, rep.payload,
-                                            points[rep.payload],
-                                            tb=_traceback_tail()))
+        # every row the representative serves is built now, so its
+        # machine is freed before the cross-check builds the next one
+        rep_row = served(rep.payload, out)
+        lane_rows = [(lane, served(lane.payload, out)) for lane in shared]
+        del out
+        emit(rep.payload, rep_row)
         # trust-but-verify: sample lanes re-run serially; a mismatch
         # degrades every remaining shared lane to serial execution
-        sample = shared[:VERIFY_SHARED_SAMPLE]
-        rest = shared[VERIFY_SHARED_SAMPLE:]
         diverged = False
-        for lane in sample:
+        for lane, batch_row in lane_rows[:VERIFY_SHARED_SAMPLE]:
             rpt.verified += 1
             serial_out = _attempt_serial(_run_point, lane.payload,
                                          points[lane.payload], policy)
-            try:
-                batch_row = _shared_row(points[lane.payload], out)
-            except Exception:
-                batch_row = None
-            if batch_row is not None and serial_out == batch_row:
+            if isinstance(batch_row, RunRow) and serial_out == batch_row:
                 rpt.shared += 1
                 emit(lane.payload, batch_row)
             else:
@@ -210,17 +212,13 @@ def _run_lockstep_group(points, idxs, policy, emit, rpt) -> None:
                 rpt.divergences.append(
                     (lane.payload, "serial cross-check mismatch"))
                 emit(lane.payload, serial_out)
-        for lane in rest:
+        for lane, batch_row in lane_rows[VERIFY_SHARED_SAMPLE:]:
             if diverged:
                 rpt.degraded += 1
                 emit(lane.payload,
                      _attempt_serial(_run_point, lane.payload,
                                      points[lane.payload], policy))
                 continue
-            try:
-                emit(lane.payload, _shared_row(points[lane.payload], out))
+            emit(lane.payload, batch_row)
+            if isinstance(batch_row, RunRow):
                 rpt.shared += 1
-            except Exception as exc:
-                emit(lane.payload,
-                     _failure_from(exc, lane.payload, points[lane.payload],
-                                   tb=_traceback_tail()))

@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(0 = unlimited); a blown budget is a transient "
                         "failure, eligible for --retries")
     p.add_argument("--trace-events", action="store_true",
-                   help="record every coherence event of the sweep runs "
+                   help="record every coherence event of the figure runs "
                         "(see repro.obs); export with --trace-out")
     p.add_argument("--timeline-interval", type=int, default=0,
                    metavar="CYCLES",
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"it to {DEFAULT_TIMELINE_INTERVAL})")
     p.add_argument("--trace-out", metavar="DIR", default=None,
                    help="write the merged events.jsonl / timeline.npz / "
-                        "report.txt bundle of the traced sweep under DIR")
+                        "report.txt bundle of every traced run under DIR")
     p.add_argument("--profile", type=int, default=0, metavar="N",
                    help="run under cProfile and print the top-N functions "
                         "by cumulative time after the figures finish "
@@ -177,18 +177,19 @@ def main(argv: list[str] | None = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            crashed = _run_figures(wanted, args, cache)
+            crashed, captures = _run_figures(wanted, args, cache)
         finally:
             profiler.disable()
             stats = pstats.Stats(profiler, stream=sys.stderr)
             stats.sort_stats("cumulative").print_stats(args.profile)
     else:
-        crashed = _run_figures(wanted, args, cache)
+        crashed, captures = _run_figures(wanted, args, cache)
     if args.trace_out is not None:
         from repro.harness.export import export_captures
+        # the shared sweep's runs, then each other figure's in run order
         labeled = [(f"{app}.d{d}", row.obs)
                    for (app, d), row in sorted(cache.rows().items())
-                   if row.obs is not None]
+                   if row.obs is not None] + captures
         if labeled:
             paths = export_captures(labeled, args.trace_out)
             print(f"[trace: {', '.join(str(p) for p in paths)}]")
@@ -207,8 +208,10 @@ def _execution_label(args) -> str:
     return "serial"
 
 
-def _run_figures(wanted, args, cache) -> int:
-    """Run each requested figure; returns the crashed-figure count."""
+def _run_figures(wanted, args, cache) -> tuple[int, list]:
+    """Run each requested figure; returns the crashed-figure count and
+    the ``(label, capture)`` pairs of the traced runs the figures that
+    run their own grids made, labelled ``figure.point``."""
     sweep_wanted = [f for f in wanted if f in _SWEEP_FIGS]
     if sweep_wanted:
         # run the shared sweep as one grid before the per-figure drivers
@@ -221,6 +224,7 @@ def _run_figures(wanted, args, cache) -> int:
               f"{time.time() - t0:.1f}s]\n")
         _store_banner(args, probed)
     crashed = 0
+    captures = []
     for name in wanted:
         t0 = time.time()
         probed = _store_probes(args)
@@ -239,13 +243,15 @@ def _run_figures(wanted, args, cache) -> int:
             crashed += 1
             continue
         print(result.render())
+        captures += [(f"{name}.{label}", capture)
+                     for label, capture in getattr(result, "captures", ())]
         if args.out is not None:
             from repro.harness.export import export_result
             paths = export_result(name, result, args.out)
             print(f"[exported {', '.join(str(p) for p in paths)}]")
         _store_banner(args, probed)
         print(f"[{name}: {time.time() - t0:.1f}s]\n")
-    return crashed
+    return crashed, captures
 
 
 def _store_probes(args):

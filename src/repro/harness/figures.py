@@ -26,6 +26,7 @@ from repro.harness.parallel import GridFailure, GridPoint, run_grid
 from repro.harness.sweeps import (
     SweepResult, sweep_protocols, sweep_threads, sweep_topology_scale,
 )
+from repro.obs.capture import ObsCapture
 from repro.workloads.registry import PAPER_WORKLOADS, table2_rows
 
 __all__ = [
@@ -51,6 +52,13 @@ def _fmt_table(headers: list[str], rows: list[list[str]]) -> str:
     out = [line(headers), line(["-" * w for w in widths])]
     out.extend(line(r) for r in rows)
     return "\n".join(out)
+
+
+def _traced(labels, rows) -> list[tuple[str, ObsCapture]]:
+    """(label, capture) of every traced run among ``rows`` — what
+    ``--trace-out`` exports for a figure that runs its own grid."""
+    return [(label, row.obs) for label, row in zip(labels, rows)
+            if isinstance(row, RunRow) and row.obs is not None]
 
 
 def _ok(result: SweepResult, figure: str) -> SweepResult:
@@ -194,6 +202,8 @@ class Fig1Result:
     naive_speedup: list[float]     # vs 1 thread, Listing 1
     private_speedup: list[float]   # vs 1 thread, Listing 2
     base: str = "MESI"             # the precise base protocol's name
+    #: (label, capture) of every traced run (see :func:`_traced`)
+    captures: list = field(default_factory=list)
 
     def render(self) -> str:
         """The figure as an aligned text table."""
@@ -217,17 +227,21 @@ def fig1(thread_counts=(1, 2, 4, 8, 16, 24), n_points: int = 4096,
     (protocol, topology, checks, faults) and says how the grid runs
     (workers, backend, result store, resume).
     """
+    captures: list = []
+
     def speedups(name: str, **kwargs) -> list[float]:
         result = sweep_threads(name, thread_counts, d_distance=0, scale=1.0,
                                seed=seed, options=options,
                                n_points=n_points, **kwargs)
+        captures.extend(_traced((f"{name}.threads={t}" for t in result.values),
+                                result.rows))
         return _ok(result, "fig1").speedups_vs_first()
 
     protocol = (options or RunOptions()).protocol
     return Fig1Result(list(thread_counts),
                       speedups("bad_dot_product", approximate=False),
                       speedups("private_dot_product"),
-                      _base_name(protocol))
+                      _base_name(protocol), captures)
 
 
 # ---------------------------------------------------------------------
@@ -237,6 +251,8 @@ def fig1(thread_counts=(1, 2, 4, 8, 16, 24), n_points: int = 4096,
 class Fig2Result:
     profiles: dict[str, SimilarityProfile]   # app -> curve
     suites: dict[str, list[str]]             # suite -> apps
+    #: (app, capture) of every traced run
+    captures: list = field(default_factory=list)
 
     def render(self) -> str:
         """The figure as an aligned text table."""
@@ -262,18 +278,24 @@ def fig2(num_threads: int = DEFAULT_THREADS, scale: float = DEFAULT_SCALE,
 
     Each app runs once on the precise machine (``d_distance=0``) under
     ``options``.  The profile is read from the live machine, so these
-    runs take no worker pool or result store.
+    runs take no worker pool or result store; each machine is freed
+    before the next app's is built.
     """
     profiles: dict[str, SimilarityProfile] = {}
     suites: dict[str, list[str]] = {}
+    captures = []
     for app, cls in PAPER_WORKLOADS.items():
         result, _cfg = run_workload_result(
             app, d_distance=0, num_threads=num_threads, scale=scale,
             seed=seed, options=options)
         hist = machine_store_histogram(result.machine)
+        capture = ObsCapture.from_machine(result.machine)
+        del result
+        if capture is not None:
+            captures.append((app, capture))
         profiles[app] = SimilarityProfile(app, hist)
         suites.setdefault(cls.suite, []).append(app)
-    return Fig2Result(profiles, suites)
+    return Fig2Result(profiles, suites, captures)
 
 
 # ---------------------------------------------------------------------
@@ -509,6 +531,8 @@ class Fig12Result:
     timeouts: list[int]
     gi_serviced_pct: list[float]
     error_pct: list[float]
+    #: (label, capture) of every traced run (see :func:`_traced`)
+    captures: list = field(default_factory=list)
 
     def render(self) -> str:
         """The figure as an aligned text table."""
@@ -541,13 +565,14 @@ def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
                   label=f"gi_timeout={timeout}")
         for timeout in timeouts
     ]
-    gi_pct, err = [], []
-    for row in run_grid(points, options=options):
+    rows = run_grid(points, options=options)
+    for row in rows:
         if isinstance(row, GridFailure):
             raise RuntimeError(f"fig12 point failed: {row.render()}")
-        gi_pct.append(row.gi_serviced_pct)
-        err.append(row.error_pct)
-    return Fig12Result(list(timeouts), gi_pct, err)
+    return Fig12Result(list(timeouts),
+                       [row.gi_serviced_pct for row in rows],
+                       [row.error_pct for row in rows],
+                       _traced((p.label for p in points), rows))
 
 
 # ---------------------------------------------------------------------
@@ -557,6 +582,8 @@ def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
 class FigProtocolsResult:
     protocols: list[str]
     rows: list[RunRow]          # aligned with ``protocols``
+    #: (label, capture) of every traced run (see :func:`_traced`)
+    captures: list = field(default_factory=list)
 
     def baseline_cycles(self) -> int:
         """Cycle count of the first precise row (usually ``mesi``)."""
@@ -593,7 +620,9 @@ def fig_protocols(protocols=None, *, d_distance: int = 4,
         n_points=n_points, max_value=3,
     )
     _ok(result, "protocol figure")
-    return FigProtocolsResult(list(result.values), list(result.rows))
+    return FigProtocolsResult(
+        list(result.values), list(result.rows),
+        _traced((f"protocol={p}" for p in result.values), result.rows))
 
 
 # ---------------------------------------------------------------------
@@ -607,6 +636,8 @@ class FigTopologyResult:
     #: static mean hop distance from a node to a home directory
     dir_hops: list[float]
     rows: list[RunRow]
+    #: (label, capture) of every traced run (see :func:`_traced`)
+    captures: list = field(default_factory=list)
 
     def render(self) -> str:
         """The figure as an aligned text table."""
@@ -649,6 +680,7 @@ def fig_topology(topologies=None, core_counts=(24, 64, 128, 256), *,
                                 gi_timeout=gi_timeout, num_cores=cores,
                                 topology=topo, options=options)
         dir_hops.append(cfg.noc.topo.mean_directory_hops())
-    return FigTopologyResult(list(result.values), dir_hops,
-                             list(result.rows))
+    return FigTopologyResult(
+        list(result.values), dir_hops, list(result.rows),
+        _traced((f"{t}.cores={c}" for t, c in result.values), result.rows))
 

@@ -9,9 +9,6 @@ rests on: **the aggregated results are bit-identical to a serial run**
 
 Design points:
 
-* *Chunked units* — jobs run in contiguous chunks (``chunk_size``,
-  default ~4 chunks per worker) so per-process overhead amortizes while
-  stragglers still rebalance across the ``jobs`` slots.
 * *Crash isolation with a failure taxonomy* — a grid point that raises
   becomes a :class:`GridFailure` row at its index; sibling points
   complete normally.  Failures are classified **permanent**
@@ -23,18 +20,18 @@ Design points:
   are committed to a result store.
 * *Per-point retry, timeout and backoff* — a :class:`RetryPolicy` gives
   each point a wall-clock budget (enforced in the worker via
-  ``SIGALRM``) and bounded retries with exponential backoff plus
-  deterministic jitter (the jitter comes from :func:`derive_seed`, so a
-  retried sweep remains reproducible).
-* *One process per unit* — the supervisor forks a fresh process for
-  each unit, at most ``jobs`` at a time, and reads the unit's outcomes
-  back over a pipe.  A process that dies (segfault, OOM-kill) or hangs
-  past its deadline is therefore its own unit's fault: a dead chunk
-  re-runs as single items, and a dead single item is retried and then
-  degrades to a transient :class:`GridFailure` row (``WorkerDied`` or
-  ``PointTimeout``).  Nothing escapes ``fan_out``, and if the parent
-  itself raises, every live child is killed before the error
-  propagates.
+  ``SIGALRM``) and bounded retries.  The backoff before retry *k* is
+  fixed: 0.25 s doubling per retry, capped at 30 s, plus up to 10 % of
+  deterministic jitter (from :func:`derive_seed`, so a retried sweep
+  remains reproducible).
+* *One process per point* — the supervisor forks a fresh process for
+  each grid point, at most ``jobs`` at a time, and reads the point's
+  outcome back over a pipe.  A process that dies (segfault, OOM-kill)
+  or hangs past its deadline is therefore its own point's fault: the
+  point is retried and then degrades to a transient
+  :class:`GridFailure` row (``WorkerDied`` or ``PointTimeout``).
+  Nothing escapes ``fan_out``, and if the parent itself raises, every
+  live child is killed before the error propagates.
 * *Durability* — given a :class:`~repro.store.ResultStore`,
   :func:`run_grid` looks every point up by its content address before
   fanning out and commits each outcome atomically as it lands, so a
@@ -75,7 +72,6 @@ __all__ = [
     "derive_seed",
     "fan_out",
     "run_grid",
-    "default_chunk_size",
 ]
 
 #: modulus for derived seeds: keep them positive 31-bit ints so every
@@ -226,6 +222,13 @@ def _failure_from(exc: Exception, index: int, item: Any, *,
 # ---------------------------------------------------------------------
 # retry / timeout / backoff policy
 # ---------------------------------------------------------------------
+#: the backoff before retry *k* is ``_BACKOFF_BASE * 2**(k-1)`` seconds,
+#: capped at ``_BACKOFF_MAX``, plus up to ``_JITTER`` of itself
+_BACKOFF_BASE = 0.25
+_BACKOFF_MAX = 30.0
+_JITTER = 0.1
+
+
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """Per-point execution budget: wall-clock timeout and bounded retry.
@@ -234,41 +237,27 @@ class RetryPolicy:
     failure (a point runs at most ``retries + 1`` times); permanent
     failures never retry.  ``timeout`` is seconds of wall clock per
     point, enforced inside the worker via ``SIGALRM`` (0 disables).
-    Backoff before retry *k* is ``backoff_base * backoff_factor**(k-1)``
-    capped at ``backoff_max``, plus up to ``jitter`` of itself — the
-    jitter is *deterministic* (derived from :func:`derive_seed` over the
-    point index and attempt), so retried sweeps stay reproducible.
+    Retries back off on a fixed schedule (:meth:`delay`).
     """
 
     retries: int = 0
     timeout: float = 0.0
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    jitter: float = 0.1
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError("retries cannot be negative")
-        if self.timeout < 0 or self.backoff_base < 0 or self.backoff_max < 0:
-            raise ValueError("timeouts/backoffs cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
+        if self.timeout < 0:
+            raise ValueError("timeout cannot be negative")
 
-    def delay(self, attempt: int, *key: Any) -> float:
+    @staticmethod
+    def delay(attempt: int, *key: Any) -> float:
         """Seconds to back off before re-running after ``attempt``
-        failed executions (deterministic per ``(attempt, *key)``)."""
-        base = min(self.backoff_max,
-                   self.backoff_base * self.backoff_factor ** (attempt - 1))
+        failed executions: 0.25 s doubling per attempt, capped at 30 s,
+        plus up to 10 % of jitter that is deterministic per
+        ``(attempt, *key)``, so retried sweeps stay reproducible."""
+        base = min(_BACKOFF_MAX, _BACKOFF_BASE * 2.0 ** (attempt - 1))
         frac = derive_seed(attempt, *key) / _SEED_SPACE
-        return base * (1.0 + self.jitter * frac)
-
-
-def default_chunk_size(n_items: int, jobs: int) -> int:
-    """~4 chunks per worker: amortize IPC, keep stragglers rebalancing."""
-    return max(1, -(-n_items // (max(1, jobs) * 4)))
+        return base * (1.0 + _JITTER * frac)
 
 
 # ---------------------------------------------------------------------
@@ -285,7 +274,7 @@ def _guarded(fn: Callable[[Any], Any], index: int, item: Any,
     A positive ``timeout`` arms a per-point ``SIGALRM`` wall-clock
     budget; exceeding it raises :class:`PointTimeout` (a transient
     failure).  Platforms or threads without ``SIGALRM`` simply skip the
-    budget — supervision still bounds hung *workers* via the per-unit
+    budget — supervision still bounds a hung *worker* via its point's
     deadline.
     """
     armed = False
@@ -307,13 +296,6 @@ def _guarded(fn: Callable[[Any], Any], index: int, item: Any,
             signal.signal(signal.SIGALRM, previous)
 
 
-def _run_chunk(fn: Callable[[Any], Any], start: int, chunk: Sequence[Any],
-               timeout: float = 0.0) -> list[tuple[int, Any]]:
-    """Worker-side entry point: execute one contiguous chunk of jobs."""
-    return [(start + k, _guarded(fn, start + k, item, timeout))
-            for k, item in enumerate(chunk)]
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Prefer ``fork`` (cheap, inherits the imported simulator) where the
     platform offers it; fall back to the portable ``spawn``."""
@@ -326,26 +308,25 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 # ---------------------------------------------------------------------
 # supervisor
 # ---------------------------------------------------------------------
-#: seconds of slack past a unit's worker-side alarm budget before the
+#: seconds of slack past a point's worker-side alarm budget before the
 #: supervisor declares its process hung and kills it
 _DEADLINE_GRACE = 5.0
 
 
 @dataclass(eq=False)
 class _Unit:
-    """A contiguous slice of the grid for one child process: a chunk, or
-    one item (a retry, or an item of a chunk whose process died).
+    """One grid point's next execution in a child process.
     ``attempt`` counts executions started; ``not_before`` is backoff."""
 
-    start: int
-    items: tuple
+    index: int
+    item: Any
     attempt: int = 1
     not_before: float = 0.0
 
 
-def _unit_main(conn, fn, start, items, timeout) -> None:
-    """Child-process entry point: run one unit, send its outcomes."""
-    conn.send(_run_chunk(fn, start, items, timeout))
+def _unit_main(conn, fn, index, item, timeout) -> None:
+    """Child-process entry point: run one point, send its outcome."""
+    conn.send(_guarded(fn, index, item, timeout))
 
 
 def _death_message(exitcode: int) -> str:
@@ -356,53 +337,42 @@ def _death_message(exitcode: int) -> str:
 
 
 class _Supervisor:
-    """Run every unit in a process of its own, ``jobs`` at a time.
+    """Run every grid point in a process of its own, ``jobs`` at a time.
 
     The loop invariant: every grid index is either finalized in
     ``results`` or present in exactly one queued or running unit.  A
-    process that exits without sending its outcomes, or outlives its
-    deadline, was killed by its own unit, so blame is exact: a dead
-    chunk splits into single items and nobody is charged; a dead single
-    item is charged a retry like any transient failure.
+    process that exits without sending its outcome, or outlives its
+    deadline, was killed by its own point, so blame is exact: the point
+    is charged a retry like any transient failure.
     """
 
-    def __init__(self, fn, items, jobs, chunk_size, policy, on_result):
+    def __init__(self, fn, items, jobs, policy, on_result):
         self.fn = fn
-        self.items = list(items)
         self.jobs = jobs
         self.policy = policy
         self.on_result = on_result
-        self.results: list[Any] = [None] * len(self.items)
-        self.remaining = len(self.items)
-        self.queue: list[_Unit] = [
-            _Unit(start, tuple(self.items[start:start + chunk_size]))
-            for start in range(0, len(self.items), chunk_size)
-        ]
+        self.queue: list[_Unit] = [_Unit(index, item)
+                                   for index, item in enumerate(items)]
+        self.results: list[Any] = [None] * len(self.queue)
+        self.remaining = len(self.queue)
         #: result-pipe read end -> (unit, process, deadline)
         self.running: dict[Any, tuple[_Unit, Any, float | None]] = {}
         self.context = _pool_context()
 
-    def _finalize(self, index: int, outcome: Any) -> None:
-        self.results[index] = outcome
-        self.remaining -= 1
-        if self.on_result is not None:
-            self.on_result(index, outcome)
-
-    def _settle(self, unit: _Unit, pairs: list[tuple[int, Any]]) -> None:
-        """Record a unit's outcomes, re-queueing retryable failures."""
-        for index, outcome in pairs:
-            retryable = (isinstance(outcome, GridFailure)
-                         and not outcome.permanent
-                         and unit.attempt <= self.policy.retries)
-            if retryable:
-                delay = self.policy.delay(unit.attempt, index)
-                self.queue.append(_Unit(index, (self.items[index],),
+    def _settle(self, unit: _Unit, outcome: Any) -> None:
+        """Record a point's outcome, re-queueing a retryable failure."""
+        if isinstance(outcome, GridFailure):
+            if not outcome.permanent and unit.attempt <= self.policy.retries:
+                delay = self.policy.delay(unit.attempt, unit.index)
+                self.queue.append(_Unit(unit.index, unit.item,
                                         unit.attempt + 1,
                                         time.monotonic() + delay))
-                continue
-            if isinstance(outcome, GridFailure):
-                outcome = dataclasses.replace(outcome, attempts=unit.attempt)
-            self._finalize(index, outcome)
+                return
+            outcome = dataclasses.replace(outcome, attempts=unit.attempt)
+        self.results[unit.index] = outcome
+        self.remaining -= 1
+        if self.on_result is not None:
+            self.on_result(unit.index, outcome)
 
     def _start_eligible(self) -> None:
         """Start queued units whose backoff has elapsed, up to ``jobs``."""
@@ -413,14 +383,14 @@ class _Supervisor:
             self.queue.remove(unit)
             conn, child_conn = self.context.Pipe(duplex=False)
             proc = self.context.Process(
-                target=_unit_main, args=(child_conn, self.fn, unit.start,
-                                         unit.items, self.policy.timeout))
+                target=_unit_main, args=(child_conn, self.fn, unit.index,
+                                         unit.item, self.policy.timeout))
             proc.start()
             child_conn.close()  # the child holds the only write end
             # the worker-side alarm should fire first; the deadline is a
             # backstop for a process stuck ignoring signals
-            deadline = (now + self.policy.timeout * len(unit.items)
-                        + _DEADLINE_GRACE if self.policy.timeout > 0 else None)
+            deadline = (now + self.policy.timeout + _DEADLINE_GRACE
+                        if self.policy.timeout > 0 else None)
             self.running[conn] = (unit, proc, deadline)
 
     def _wait_timeout(self) -> float | None:
@@ -432,34 +402,28 @@ class _Supervisor:
 
     def _reap(self, conn, *, hung: bool) -> None:
         """Collect one finished child, or kill a hung one, and settle."""
-        unit, proc, _deadline = self.running[conn]
-        pairs = None
+        unit, proc, _deadline = self.running.pop(conn)
+        received = False
         if hung:
             proc.kill()
         else:
             try:
-                pairs = conn.recv()
+                outcome = conn.recv()
+                received = True
             except (EOFError, OSError):     # it exited without a result
                 pass
         proc.join()
         conn.close()
-        del self.running[conn]
-        if pairs is not None:
-            self._settle(unit, pairs)
-        elif len(unit.items) > 1:
-            # a chunk cannot say which item killed it: split, charge nobody
-            self.queue.extend(_Unit(unit.start + k, (item,), unit.attempt)
-                              for k, item in enumerate(unit.items))
-        else:
+        if not received:
             error = (("PointTimeout", f"worker exceeded its "
                       f"{self.policy.timeout:.1f}s budget and was killed")
                      if hung else
                      ("WorkerDied", _death_message(proc.exitcode)))
-            self._settle(unit, [(unit.start, _failure(
-                unit.start, unit.items[0], *error))])
+            outcome = _failure(unit.index, unit.item, *error)
+        self._settle(unit, outcome)
 
     def run(self) -> list[Any]:
-        """Execute every unit; the ordered outcome list."""
+        """Execute every point; the ordered outcome list."""
         try:
             while self.remaining:
                 self._start_eligible()
@@ -486,8 +450,7 @@ class _Supervisor:
 
 
 def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
-            jobs: int = 1, chunk_size: int | None = None,
-            retry: RetryPolicy = RetryPolicy(),
+            jobs: int = 1, retry: RetryPolicy = RetryPolicy(),
             on_result: Callable[[int, Any], None] | None = None
             ) -> list[Any]:
     """Apply ``fn`` to every item, optionally across worker processes.
@@ -500,9 +463,9 @@ def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
     hook a result store uses for per-point commits.  ``jobs=1`` (the
     default) runs inline — same guard, same retry policy, no processes —
     which is the serial reference path.  Any ``jobs > 1`` grid, even a
-    one-item one, runs in worker processes, so a worker death is always
-    that item's :class:`GridFailure`, never the caller's.  ``fn`` and the
-    items must be picklable when ``jobs > 1``.
+    one-item one, runs each item in a worker process of its own, so a
+    worker death is always that item's :class:`GridFailure`, never the
+    caller's.  ``fn`` and the items must be picklable when ``jobs > 1``.
     """
     items = list(items)
     jobs = max(1, int(jobs))
@@ -514,9 +477,7 @@ def fan_out(fn: Callable[[Any], Any], items: Sequence[Any], *,
                 on_result(index, outcome)
             results.append(outcome)
         return results
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(items), jobs)
-    return _Supervisor(fn, items, jobs, chunk_size, retry, on_result).run()
+    return _Supervisor(fn, items, jobs, retry, on_result).run()
 
 
 def _attempt_serial(fn: Callable[[Any], Any], index: int, item: Any,

@@ -337,8 +337,8 @@ class ProgramCache:
     key.
 
     One process-wide instance (``repro.workloads.registry.PROGRAM_CACHE``)
-    is shared by every sweep point; ``--jobs N`` workers each hold their
-    own copy, which chunked grid execution still amortizes.  Only
+    is shared by every in-process sweep point; under ``--jobs N`` each
+    point's worker process starts from a copy of the parent's.  Only
     cacheable recordings are stored (see :class:`ProgramRecorder`).
     """
 

@@ -75,10 +75,6 @@ class BackingStore:
         blk[self._word_offset(addr)] = value & WORD_MASK
 
     # -- introspection ---------------------------------------------------
-    def resident_blocks(self) -> int:
-        """Number of blocks materialized so far."""
-        return len(self._blocks)
-
     def memory_image(self) -> dict[int, list[int]]:
         """Deep copy of all resident blocks (test oracles, checkpoints)."""
         return {addr: blk.copy() for addr, blk in self._blocks.items()}

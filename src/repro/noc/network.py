@@ -74,19 +74,9 @@ class Network:
             raise ValueError(f"node {node} already registered")
         self._endpoints[node] = handler
 
-    def clear_endpoints(self) -> None:
-        """Drop every node's handler.  The handlers hold the controllers,
-        which hold this network, so the machine clears them when its run
-        ends to let the whole machine be freed by reference counting."""
-        self._endpoints.clear()
-
     # -- transport -------------------------------------------------------
-    def send(self, msg: Message, extra_delay: int = 0) -> None:
-        """Account and deliver ``msg`` after its modeled latency.
-
-        ``extra_delay`` lets a sender fold local processing time (e.g. an
-        L2 array access) into the same scheduling step.
-        """
+    def send(self, msg: Message) -> None:
+        """Account and deliver ``msg`` after its modeled latency."""
         handler = self._endpoints.get(msg.dst)
         if handler is None:
             raise ValueError(f"no endpoint registered at node {msg.dst}")
@@ -101,7 +91,7 @@ class Network:
                 mtype.label, mtype.klass.value, msg.dst,
             ))
         if self.fault_hook is not None:
-            extra_delay += self.fault_hook(msg)
+            latency += self.fault_hook(msg)
         in_flight = self._in_flight
         in_flight[id(msg)] = msg
 
@@ -109,7 +99,7 @@ class Network:
             del in_flight[id(msg)]
             handler(msg)
 
-        self.engine.schedule(latency + extra_delay, deliver)
+        self.engine.schedule(latency, deliver)
 
     def account_transfer(
         self, src: int, dst: int, data: bool,

@@ -231,20 +231,20 @@ def run_group(lanes: Iterable[Lane],
     every lane appears exactly once, either as a representative or in
     some representative's ``shared`` list.  Lanes that fail the sharing
     predicate peel back into the pool and seed the next iteration — the
-    lane-level deoptimization.
+    lane-level deoptimization.  The generator keeps no reference to an
+    outcome it yielded, so a consumer that drops one frees the
+    representative's machine before the next representative runs.
     """
     remaining = list(lanes)
     while remaining:
         rep, rest = remaining[0], remaining[1:]
-        out = run_rep(rep)
-        if not isinstance(out, RepRun):
-            yield rep, out, []
-            remaining = rest
-            continue
-        armed = not gi_never_armed(out.result.stats)
-        shared, remaining = share_split(out.trace, rep, rest,
-                                       rep_armed_gi=armed)
-        yield rep, out, shared
+        held = [run_rep(rep)]
+        shared, remaining = [], rest
+        if isinstance(held[0], RepRun):
+            armed = not gi_never_armed(held[0].result.stats)
+            shared, remaining = share_split(held[0].trace, rep, rest,
+                                           rep_armed_gi=armed)
+        yield rep, held.pop(), shared   # popped: the consumer's alone
 
 
 def classify_divergence(trace: DecisionTrace, d: int,

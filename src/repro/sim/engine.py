@@ -113,16 +113,6 @@ class Engine:
         heapq.heappush(self._queue,
                        (self.now + delay, self._seq, callback, tag))
 
-    def schedule_at_tagged(self, cycle: int, callback: Callable[[], None],
-                           tag: tuple) -> None:
-        """:meth:`schedule_at`, with a restorable identity."""
-        if cycle < self.now:
-            raise ValueError(
-                f"cannot schedule at absolute cycle {cycle}: it is in the "
-                f"past (current cycle is {self.now})"
-            )
-        self.schedule_tagged(cycle - self.now, callback, tag)
-
     def all_tagged(self) -> bool:
         """True when every queued event carries a restorable tag."""
         return all(len(ev) == 4 for ev in self._queue)

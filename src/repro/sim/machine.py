@@ -11,14 +11,15 @@ messages by type: requests/responses addressed to the home go to the
 agent, everything else to the L1.  The two message sets are disjoint by
 construction.
 
-Lifetime: a finished machine is freed by reference counting as soon as
-its last user drops it, never left for the cyclic collector.  Nothing
-the machine owns holds it strongly: the periodic components (invariant
-monitor, watchdog, fault injector, metrics timeline) get a weak proxy
-of it.  The wiring that must point back while events run — the
-network's endpoint handlers, which hold the controllers that hold the
-network, and the engine's timeout hook — is run-scoped and released
-when :meth:`Machine.run` or :meth:`Machine.resume` returns or raises.
+Lifetime: a machine is freed by reference counting as soon as its last
+user drops it — built, run or failed — never left for the cyclic
+collector.  Nothing the machine owns holds it strongly: the periodic
+components (invariant monitor, watchdog, fault injector, metrics
+timeline) get a weak proxy of it, and the network's endpoint handlers
+a weak proxy of the controllers they deliver to (the controllers hold
+the network).  The engine's timeout hook, which must point back while
+events run, is run-scoped: released when :meth:`Machine.run` or
+:meth:`Machine.resume` returns or raises.
 """
 from __future__ import annotations
 
@@ -194,8 +195,14 @@ class Machine:
 
     # ------------------------------------------------------------------
     def _make_endpoint(self, node: int):
+        # weak proxies: the network holds this handler, and a controller
+        # holding the network must not be held back by it (see the
+        # module docstring)
         agent = self.agents.get(node)
-        l1 = self.l1s[node] if node < self.cfg.num_cores else None
+        if agent is not None:
+            agent = weakref.proxy(agent)
+        l1 = (weakref.proxy(self.l1s[node]) if node < self.cfg.num_cores
+              else None)
 
         def dispatch(msg: Message) -> None:
             if msg.mtype in _DIRECTORY_TYPES:
@@ -318,7 +325,6 @@ class Machine:
             raise
         finally:
             self.engine.timeout_hook = None
-            self.network.clear_endpoints()
 
     #: after an unsafe window boundary, keep trying for this many more
     #: cycle-batches before giving the window up — misses cluster, so a

@@ -76,10 +76,15 @@ class I32Array(_ArrayBase):
         yield Store(self.addr(index), int_to_bits(value))
 
     def add(self, index: int, delta: int) -> Generator:
-        """The ubiquitous read-modify-write (``arr[i] += delta``)."""
-        cur = yield from self.load(index)
-        yield from self.store(index, _wrap32(cur + delta))
-        return _wrap32(cur + delta)
+        """The ubiquitous read-modify-write (``arr[i] += delta``).
+
+        Yields the ``Load`` and ``Store`` itself rather than delegating
+        to :meth:`load`/:meth:`store`: the same ops, one generator frame.
+        """
+        addr = self.addr(index)
+        new = _wrap32(bits_to_int((yield Load(addr))) + delta)
+        yield Store(addr, int_to_bits(new))
+        return new
 
     # -- direct (functional, un-timed) access ----------------------------
     def init(self, values: Iterable[int]) -> None:
@@ -115,10 +120,12 @@ class F32Array(_ArrayBase):
         yield Store(self.addr(index), float_to_bits(value))
 
     def add(self, index: int, delta: float) -> Generator:
-        """Read-modify-write through binary32 rounding."""
-        cur = yield from self.load(index)
+        """Read-modify-write through binary32 rounding (one generator
+        frame, as :meth:`I32Array.add`)."""
+        addr = self.addr(index)
+        cur = bits_to_float((yield Load(addr)))
         new = float(bits_to_float(float_to_bits(cur + delta)))
-        yield from self.store(index, new)
+        yield Store(addr, float_to_bits(new))
         return new
 
     def init(self, values: Iterable[float]) -> None:

@@ -21,7 +21,7 @@ class _FakeNetwork:
         self.engine = engine
         self.sent: list[Message] = []
 
-    def send(self, msg, extra_delay=0):
+    def send(self, msg):
         self.sent.append(msg)
 
     def of_type(self, mtype):

@@ -7,21 +7,23 @@ from repro.common.config import SimConfig, small_config
 from repro.isa.instructions import (
     Compute, Load, Scribble, SetAprx, Store,
 )
+from repro.obs.events import Event, EventKind
 from repro.sim.machine import Machine
 
 
 class TraceRecorder:
-    """Captures L1 coherence transitions for assertions."""
+    """Captures L1 coherence transitions (the bus's ``STATE`` events)
+    for assertions."""
 
     def __init__(self) -> None:
         self.events: list[tuple[int, int, int, str, str, str]] = []
 
     def attach(self, machine: Machine) -> None:
-        for l1 in machine.l1s:
-            l1.transition_hook = self._record
+        machine.attach_bus().subscribe(self._record, kinds={EventKind.STATE})
 
-    def _record(self, cycle, node, block, old, new, why) -> None:
-        self.events.append((cycle, node, block, old.value, new.value, why))
+    def _record(self, ev: Event) -> None:
+        old, new = ev.what.split("->")
+        self.events.append((ev.cycle, ev.node, ev.addr, old, new, ev.info))
 
     def transitions(self, node: int | None = None) -> list[tuple[str, str]]:
         return [

@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
+import json
 import re
 
 import pytest
 
 from repro.harness.cli import main
+from repro.workloads.registry import PAPER_WORKLOADS
+from repro.obs.timeline import load_merged
 
 
 class TestCli:
@@ -88,3 +91,36 @@ class TestCli:
     def test_backend_batch_rejects_jobs(self):
         with pytest.raises(SystemExit):
             main(["fig7", "--backend", "batch", "--jobs", "2"])
+
+    @pytest.mark.parametrize("figure,labels", [
+        ("fig12", [f"fig12.gi_timeout={t}" for t in (128, 512, 1024)]),
+        ("fig1", [f"fig1.{w}.threads={t}"
+                  for w in ("bad_dot_product", "private_dot_product")
+                  for t in (1, 2)]),
+        ("fig2", [f"fig2.{app}" for app in PAPER_WORKLOADS]),
+    ])
+    def test_trace_out_exports_every_traced_run(self, capsys, tmp_path,
+                                                figure, labels):
+        # figures that run their own grid (not the shared sweep) export
+        # each traced run, labelled figure.point
+        out = tmp_path / "trace"
+        assert main([figure, "--threads", "2", "--scale", "0.05",
+                     "--trace-events", "--trace-out", str(out)]) == 0
+        runs = [json.loads(line)["run"] for line in
+                (out / "events.jsonl").read_text().splitlines()]
+        assert list(dict.fromkeys(runs)) == labels
+        assert list(load_merged(out / "timeline.npz")) == labels
+        report = (out / "report.txt").read_text()
+        assert all(f"=== {label} ===" in report for label in labels)
+        assert "[trace: " in capsys.readouterr().out
+
+    def test_trace_bundle_identical_across_jobs(self, tmp_path):
+        bundles = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["fig12", "--threads", "2", "--jobs", jobs,
+                         "--trace-events", "--trace-out", str(out)]) == 0
+            bundles.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert set(bundles[0]) == {"events.jsonl", "timeline.npz",
+                                   "report.txt"}
+        assert bundles[0] == bundles[1]

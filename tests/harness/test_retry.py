@@ -25,7 +25,6 @@ from repro.harness.parallel import (
 )
 from repro.verify.watchdog import DeadlockError
 
-_FAST = dict(backoff_base=0.0, backoff_max=0.0)
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
@@ -102,31 +101,34 @@ def _slow_on_one(x):
     return x * 10
 
 
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry at once: start the fixed backoff schedule at zero seconds."""
+    import repro.harness.parallel as par
+    monkeypatch.setattr(par, "_BACKOFF_BASE", 0.0)
+
+
 # ---------------------------------------------------------------------
 # the policy object
 # ---------------------------------------------------------------------
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        p = RetryPolicy(retries=5, backoff_base=1.0, backoff_factor=2.0,
-                        backoff_max=3.0, jitter=0.0)
-        assert p.delay(1) == 1.0
-        assert p.delay(2) == 2.0
-        assert p.delay(3) == 3.0   # capped
-        assert p.delay(4) == 3.0
+        # 0.25 s doubling per retry, capped at 30 s, plus <= 10 % jitter
+        for attempt, base in ((1, 0.25), (2, 0.5), (3, 1.0), (8, 30.0),
+                              (20, 30.0)):
+            assert base <= RetryPolicy.delay(attempt, 0) <= base * 1.1
 
     def test_jitter_is_deterministic_and_bounded(self):
-        p = RetryPolicy(backoff_base=1.0, backoff_factor=1.0, jitter=0.5)
+        p = RetryPolicy()
         assert p.delay(1, 7) == p.delay(1, 7)
         assert p.delay(1, 7) != p.delay(1, 8)  # keyed by the point
-        assert 1.0 <= p.delay(1, 7) <= 1.5
+        assert 0.25 <= p.delay(1, 7) <= 0.275
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
+            RetryPolicy(timeout=-1.0)
 
     def test_retry_from_options(self):
         # always a policy: the defaults imply no retries, no timeout
@@ -136,7 +138,6 @@ class TestRetryPolicy:
                                           point_timeout=2.0))
         assert p.retries == 3
         assert p.timeout == 2.0
-        assert p.backoff_base == RetryPolicy().backoff_base
 
     def test_taxonomy(self):
         assert is_permanent_failure("DeadlockError")
@@ -152,6 +153,7 @@ class TestRetryPolicy:
 # serial (jobs=1) retry semantics
 # ---------------------------------------------------------------------
 class TestSerialRetry:
+    @pytest.mark.usefixtures("no_backoff")
     def test_transient_failure_retried_until_success(self):
         attempts = []
 
@@ -160,14 +162,15 @@ class TestSerialRetry:
             if len(attempts) < 3:
                 raise OSError("hiccup")
             return x * 10
-        [out] = fan_out(flaky, [5], retry=RetryPolicy(retries=3, **_FAST))
+        [out] = fan_out(flaky, [5], retry=RetryPolicy(retries=3))
         assert out == 50
         assert len(attempts) == 3
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_exhausted_retries_degrade_with_attempt_count(self):
         def always(x):
             raise OSError("hiccup")
-        [out] = fan_out(always, [5], retry=RetryPolicy(retries=2, **_FAST))
+        [out] = fan_out(always, [5], retry=RetryPolicy(retries=2))
         assert isinstance(out, GridFailure)
         assert not out.permanent
         assert out.attempts == 3   # 1 initial + 2 retries
@@ -179,7 +182,7 @@ class TestSerialRetry:
         def wedged(x):
             attempts.append(x)
             raise DeadlockError("wedged config")
-        [out] = fan_out(wedged, [5], retry=RetryPolicy(retries=5, **_FAST))
+        [out] = fan_out(wedged, [5], retry=RetryPolicy(retries=5))
         assert isinstance(out, GridFailure)
         assert out.permanent
         assert out.attempts == 1
@@ -199,11 +202,10 @@ class TestSerialRetry:
         def always(x):
             raise OSError("hiccup")
         t0 = time.monotonic()
-        fan_out(always, [5],
-                retry=RetryPolicy(retries=2, backoff_base=0.05,
-                                  backoff_factor=1.0, jitter=0.0))
-        assert time.monotonic() - t0 >= 0.1   # two 0.05 s backoffs
+        fan_out(always, [5], retry=RetryPolicy(retries=2))
+        assert time.monotonic() - t0 >= 0.75   # 0.25 s, then 0.5 s
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_on_result_sees_final_outcomes_only(self):
         seen = []
         state = {"failed": False}
@@ -215,7 +217,7 @@ class TestSerialRetry:
                 raise OSError("hiccup")
             return x * 10
         out = fan_out(flaky, [1, 2, 3],
-                      retry=RetryPolicy(retries=1, **_FAST),
+                      retry=RetryPolicy(retries=1),
                       on_result=lambda i, o: seen.append((i, o)))
         assert out == [10, 20, 30]
         assert sorted(seen) == [(0, 10), (1, 20), (2, 30)]
@@ -229,11 +231,12 @@ class TestTimeouts:
         def slow(x):
             time.sleep(60.0)
         [out] = fan_out(slow, [1],
-                        retry=RetryPolicy(retries=0, timeout=0.2, **_FAST))
+                        retry=RetryPolicy(retries=0, timeout=0.2))
         assert isinstance(out, GridFailure)
         assert out.error_type == "PointTimeout"
         assert not out.permanent
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_serial_timeout_retry_can_recover(self):
         attempts = []
 
@@ -243,20 +246,20 @@ class TestTimeouts:
                 time.sleep(60.0)
             return x * 10
         [out] = fan_out(slow_once, [1],
-                        retry=RetryPolicy(retries=1, timeout=0.2, **_FAST))
+                        retry=RetryPolicy(retries=1, timeout=0.2))
         assert out == 10
         assert len(attempts) == 2
 
     def test_pooled_timeout_spares_siblings(self):
-        out = fan_out(_sleep_on_two, [1, 2, 3], jobs=2, chunk_size=1,
-                      retry=RetryPolicy(retries=0, timeout=0.3, **_FAST))
+        out = fan_out(_sleep_on_two, [1, 2, 3], jobs=2,
+                      retry=RetryPolicy(retries=0, timeout=0.3))
         assert out[0] == 10 and out[2] == 30
         assert isinstance(out[1], GridFailure)
         assert out[1].error_type == "PointTimeout"
 
     def test_fast_points_unaffected_by_budget(self):
         out = fan_out(_ok, [1, 2, 3],
-                      retry=RetryPolicy(retries=0, timeout=30.0, **_FAST))
+                      retry=RetryPolicy(retries=0, timeout=30.0))
         assert out == [10, 20, 30]
 
 
@@ -265,7 +268,7 @@ class TestTimeouts:
 # ---------------------------------------------------------------------
 class TestPoolSupervision:
     def test_dead_worker_degrades_only_its_point(self):
-        out = fan_out(_die_on_two, [1, 2, 3, 4], jobs=2, chunk_size=1)
+        out = fan_out(_die_on_two, [1, 2, 3, 4], jobs=2)
         assert out[0] == 10 and out[2] == 30 and out[3] == 40
         assert isinstance(out[1], GridFailure)
         assert not out[1].permanent   # worker death is transient-class
@@ -293,50 +296,43 @@ class TestPoolSupervision:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "WorkerDied"
 
-    def test_dead_worker_in_chunk_spares_chunk_mates(self):
-        # chunk_size=2 puts the killer in a chunk with an innocent; the
-        # dead chunk re-runs as single items and the innocent completes
-        out = fan_out(_die_on_two, [1, 2, 3, 4], jobs=2, chunk_size=2)
-        assert out[0] == 10 and out[2] == 30 and out[3] == 40
-        assert isinstance(out[1], GridFailure)
-
+    @pytest.mark.usefixtures("no_backoff")
     def test_retry_recovers_one_off_worker_death(self, tmp_path):
         marker = str(tmp_path / "died")
         items = [(1, marker), (2, marker), (3, marker)]
-        out = fan_out(_die_once_marker, items, jobs=2, chunk_size=1,
-                      retry=RetryPolicy(retries=1, **_FAST))
+        out = fan_out(_die_once_marker, items, jobs=2,
+                      retry=RetryPolicy(retries=1))
         assert out == [10, 20, 30]
         assert os.path.exists(marker)
 
+    @pytest.mark.usefixtures("no_backoff")
     def test_retry_recovers_transient_exception_in_worker(self, tmp_path):
         marker = str(tmp_path / "tried")
         items = [(1, marker), (2, marker), (3, marker)]
-        out = fan_out(_flaky_marker, items, jobs=2, chunk_size=1,
-                      retry=RetryPolicy(retries=1, **_FAST))
+        out = fan_out(_flaky_marker, items, jobs=2,
+                      retry=RetryPolicy(retries=1))
         assert out == [10, 20, 30]
 
 
 # ---------------------------------------------------------------------
 # the supervision contract, by where the culprit dies or hangs
 # ---------------------------------------------------------------------
-#: case -> (items as (x, action, seconds), chunk_size, retry policy)
+#: case -> (items as (x, action, seconds), retry policy)
 _FAULT_CASES = {
     "first_unit_dies_while_rest_start": (
         [(1, "die", 0.0), (2, "ok", 0.05), (3, "ok", 0.05), (4, "ok", 0.0)],
-        1, RetryPolicy(retries=0, **_FAST)),
-    "shares_a_chunk_with_innocents": (
-        [(1, "ok", 0.0), (2, "die", 0.0), (3, "ok", 0.0), (4, "ok", 0.0)],
-        2, RetryPolicy(retries=0, **_FAST)),
+        RetryPolicy(retries=0)),
     "dies_while_sibling_backs_off": (
+        # item 1 backs off 0.25-0.275 s; item 2 is killed at 0.1 s
         [(1, "flaky_once", 0.0), (2, "sigkill", 0.1), (3, "ok", 0.0)],
-        1, RetryPolicy(retries=1, backoff_base=0.4, jitter=0.0)),
+        RetryPolicy(retries=1)),
     "dies_once_then_recovers": (
         [(1, "ok", 0.0), (2, "die_once", 0.0), (3, "ok", 0.0)],
-        1, RetryPolicy(retries=1, **_FAST)),
+        RetryPolicy(retries=1)),
     "hangs_while_sibling_mid_run": (
         # the hang is killed at 1.3 s, while item 1 runs from 0.7 s to 1.5 s
         [(2, "hang", 0.0), (3, "ok", 0.7), (1, "ok", 0.8)],
-        1, RetryPolicy(retries=0, timeout=1.0, **_FAST)),
+        RetryPolicy(retries=0, timeout=1.0)),
 }
 
 #: how each culprit that does not recover fails
@@ -356,15 +352,14 @@ class TestFaultPoints:
     def test_contract(self, case, tmp_path, monkeypatch):
         import repro.harness.parallel as par
         monkeypatch.setattr(par, "_DEADLINE_GRACE", 0.3)
-        spec, chunk_size, retry = _FAULT_CASES[case]
+        spec, retry = _FAULT_CASES[case]
         repeats = 10 if case == "first_unit_dies_while_rest_start" else 1
         for rep in range(repeats):
             marker_dir = tmp_path / str(rep)
             marker_dir.mkdir()
             items = [(x, action, secs, str(marker_dir))
                      for x, action, secs in spec]
-            out = fan_out(_fault_point, items, jobs=2,
-                          chunk_size=chunk_size, retry=retry)
+            out = fan_out(_fault_point, items, jobs=2, retry=retry)
             for (x, action, _secs), outcome in zip(spec, out):
                 if action in _DEATHS:
                     error_type, message = _DEATHS[action]
@@ -374,7 +369,7 @@ class TestFaultPoints:
                     assert not outcome.permanent
                 else:
                     assert outcome == x * 10, (case, x, outcome)
-                if action == "ok" and chunk_size == 1:
+                if action == "ok":
                     # a sibling's death never re-runs an innocent
                     ran = (marker_dir / f"ran{x}").read_text().count("ran")
                     assert ran == 1, (case, x, ran)
@@ -384,7 +379,7 @@ class TestFaultPoints:
             raise OSError("store commit failed")
         t0 = time.monotonic()
         with pytest.raises(OSError, match="store commit failed"):
-            fan_out(_slow_on_one, [1, 2, 3], jobs=2, chunk_size=1,
+            fan_out(_slow_on_one, [1, 2, 3], jobs=2,
                     on_result=commit_fails)
         assert time.monotonic() - t0 < 3.0   # did not wait out the sleeper
         assert multiprocessing.active_children() == []

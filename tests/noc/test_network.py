@@ -47,14 +47,6 @@ class TestDelivery:
         with pytest.raises(ValueError):
             net.register(0, lambda m: None)
 
-    def test_extra_delay(self):
-        engine, net = _net()
-        got = []
-        net.register(1, lambda m: got.append(engine.now))
-        net.send(Message(MessageType.ACK, 0x40, src=0, dst=1), extra_delay=10)
-        engine.run()
-        assert got[0] == net.cfg.message_latency(0, 1, 8) + 10
-
 
 class TestAccounting:
     def test_class_counts(self):

@@ -20,12 +20,15 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.ddistance import machine_store_histogram
+from repro.harness.batch import BatchReport, batch_fan_out
 from repro.harness.experiment import (
     experiment_config, run_workload, run_workload_result,
 )
+from repro.harness.figures import fig2
 from repro.harness.options import RunOptions
 from repro.harness.parallel import GridFailure, GridPoint, run_grid
-from repro.sim.machine import machine_hook
+from repro.sim.engine import SimulationError
+from repro.sim.machine import Machine, machine_hook
 from repro.workloads.registry import PAPER_WORKLOADS, create
 
 THREADS = 4
@@ -119,3 +122,65 @@ def test_protocol_variants_free_machine(protocol):
     assert_freed(lambda: run_workload(
         "jpeg", d_distance=4, num_threads=THREADS, scale=SCALE,
         protocol=protocol))
+
+
+def test_machine_never_run_is_freed():
+    assert_freed(lambda: Machine(experiment_config(d_distance=4,
+                                                   num_cores=THREADS)))
+
+
+def test_machine_whose_run_raises_before_the_drain_is_freed():
+    def failed_run():
+        machine = Machine(experiment_config(d_distance=4, num_cores=THREADS))
+        try:
+            machine.run()       # no thread bound: raises before draining
+        except SimulationError:
+            return
+        raise AssertionError("run() without threads did not raise")
+
+    assert_freed(failed_run)
+
+
+def assert_one_machine_at_a_time(run) -> None:
+    """Call ``run()`` and check, without the cyclic collector, that
+    every machine it built was dead when the next one was built."""
+    refs: list[weakref.ref] = []
+    overlaps: list[int] = []
+
+    def built(machine) -> None:
+        overlaps.append(sum(r() is not None for r in refs))
+        refs.append(weakref.ref(machine))
+
+    gc.collect()
+    gc.disable()
+    try:
+        with machine_hook(built):
+            run()
+    finally:
+        gc.enable()
+    assert len(refs) > 1, "the case built fewer than two machines"
+    assert overlaps == [0] * len(refs), \
+        f"machines alive when each was built: {overlaps}"
+
+
+def test_fig2_keeps_one_machine_alive_at_a_time():
+    assert_one_machine_at_a_time(
+        lambda: fig2(num_threads=THREADS, scale=SCALE))
+
+
+def test_batch_grid_keeps_one_machine_alive_at_a_time():
+    # histogram's first representative serves its other lanes, one of
+    # which re-runs serially as the cross-check; linear_regression's
+    # lanes diverge, so each peels to a representative of its own
+    points = [GridPoint(app, dict(d_distance=d, gi_timeout=gi,
+                                  num_threads=THREADS, scale=SCALE))
+              for app in ("histogram", "linear_regression")
+              for d in (2, 4, 8) for gi in (256, 1024)]
+    report = BatchReport()
+
+    def grid():
+        rows = batch_fan_out(points, report=report)
+        assert not any(isinstance(r, GridFailure) for r in rows)
+
+    assert_one_machine_at_a_time(grid)
+    assert report.reps >= 3 and report.verified >= 1 and report.shared >= 1

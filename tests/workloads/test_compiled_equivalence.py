@@ -112,8 +112,8 @@ def test_precise_runs_never_replay_approximate_recordings(ds, monkeypatch):
 def test_warm_cache_rows_bit_identical_across_jobs():
     """Sweep points sharing one cached op stream produce the same frozen
     RunRow serially (one shared cache: the first point records, the
-    rest replay) and under a worker pool (each worker starts from an
-    empty cache and runs a chunk of three: record, replay, replay)."""
+    rest replay) and in worker processes (each point runs in a process
+    of its own that starts from an empty cache and records)."""
     points = [
         GridPoint("bad_dot_product",
                   dict(d_distance=4, num_threads=4, seed=12345,
@@ -125,6 +125,6 @@ def test_warm_cache_rows_bit_identical_across_jobs():
         serial = run_grid(points)
         assert PROGRAM_CACHE.hits == 5 * 4
         PROGRAM_CACHE.clear()  # forked workers would inherit the recording
-        pooled = fan_out(_run_point, points, jobs=2, chunk_size=3)
+        pooled = fan_out(_run_point, points, jobs=2)
     assert serial == pooled
     assert all(row == serial[0] for row in serial)

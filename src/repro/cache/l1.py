@@ -29,6 +29,7 @@ the policy object.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from repro.cache.mshr import MshrEntry, MshrFile, MshrKind
@@ -411,7 +412,8 @@ class L1Controller:
                     "wb-pending" if block in self._wb_buffer else "mshr-full",
                 ))
             self.engine.schedule(
-                _RETRY_DELAY, lambda: self._start_miss(atype, addr, value, on_done)
+                _RETRY_DELAY,
+                partial(self._start_miss, atype, addr, value, on_done),
             )
             return
 
@@ -432,7 +434,7 @@ class L1Controller:
                     ))
                 self.engine.schedule(
                     _RETRY_DELAY,
-                    lambda: self._start_miss(atype, addr, value, on_done),
+                    partial(self._start_miss, atype, addr, value, on_done),
                 )
                 return
             if line.valid:
@@ -441,7 +443,6 @@ class L1Controller:
             line.words = [0] * self.cfg.l1.words_per_block
             self._set_state(line, _S.I, "allocate")
 
-        off = self._word_off(addr)
         if atype is AccessType.LOAD:
             kind = MshrKind.LOAD
             self._set_state(line, _S.IS_D, "load miss -> GETS")
@@ -498,7 +499,6 @@ class L1Controller:
                        addr=addr, value=value)
         else:
             self._send(mtype, block, self._home(block), requestor=self.node)
-        _ = off  # word offset re-derived at fill time
 
     def _evict(self, line: CacheLine) -> None:
         """Make room: run the eviction protocol for the victim line."""
@@ -628,8 +628,7 @@ class L1Controller:
         self.mshrs.retire(block)
         self._c["miss_latency_cycles"] += self.engine.now - entry.issued_at
         self._run_deferred(line, entry)
-        cb = entry.on_complete
-        self.engine.schedule(0, lambda: cb(result))
+        self.engine.schedule(0, partial(entry.on_complete, result))
 
     def _on_ack(self, msg: Message) -> None:
         block = msg.block_addr
@@ -656,8 +655,7 @@ class L1Controller:
             self.mshrs.retire(block)
             self._c["miss_latency_cycles"] += self.engine.now - entry.issued_at
             self._run_deferred(line, entry)
-            cb = entry.on_complete
-            self.engine.schedule(0, lambda: cb(None))
+            self.engine.schedule(0, partial(entry.on_complete, None))
             return
         # otherwise: directory acking one of our PUTs
         queue = self._wb_buffer.get(block)

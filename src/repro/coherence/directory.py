@@ -26,6 +26,7 @@ modifications "simple and local to the L1 level of the hierarchy" (§3.2).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 from repro.cache.l2 import L2Slice
 from repro.coherence.messages import Message, ProtocolError
@@ -169,7 +170,7 @@ class DirectoryAgent:
         e.busy = True
         lat = self.cfg.dir_access_latency
         if lat:
-            self.engine.schedule(lat, lambda: self._dispatch(e, msg))
+            self.engine.schedule(lat, partial(self._dispatch, e, msg))
         else:
             self._dispatch(e, msg)
 
@@ -202,7 +203,7 @@ class DirectoryAgent:
             # keep the entry busy while the queue drains so a request
             # arriving in the gap cannot jump ahead of queued ones
             nxt = e.pending.popleft()
-            self.engine.schedule(1, lambda: self._start(e, nxt))
+            self.engine.schedule(1, partial(self._start, e, nxt))
         else:
             e.busy = False
             if e.idle_and_empty():
@@ -500,25 +501,26 @@ class DirectoryAgent:
         """
         slc = self._slice(block)
         hop = self.network.account_transfer(self.node, slc.node, data=False)
+        self.engine.schedule(hop + self.cfg.l2.hit_latency,
+                             partial(self._at_slice, block, slc, then))
 
-        def at_slice() -> None:
-            words = slc.probe(block)
-            if words is not None:
-                then(words, slc.node)
-                return
-            self._c["l2_misses"] += 1
+    def _at_slice(self, block: int, slc: L2Slice, then) -> None:
+        """:meth:`_fetch` at the slice: probe L2, else read DRAM."""
+        words = slc.probe(block)
+        if words is not None:
+            then(words, slc.node)
+            return
+        self._c["l2_misses"] += 1
+        self.dram.read(block, partial(self._from_dram, block, slc, then))
 
-            def from_dram() -> None:
-                data = self.backing.read_block(block)
-                victim = slc.fill(block, data, dirty=False)
-                if victim is not None and victim.dirty:
-                    self.backing.write_block(victim.block_addr, victim.words)
-                    self.dram.write(victim.block_addr)
-                then(data, slc.node)
-
-            self.dram.read(block, from_dram)
-
-        self.engine.schedule(hop + self.cfg.l2.hit_latency, at_slice)
+    def _from_dram(self, block: int, slc: L2Slice, then) -> None:
+        """:meth:`_fetch` after an L2 miss: install the block in L2."""
+        data = self.backing.read_block(block)
+        victim = slc.fill(block, data, dirty=False)
+        if victim is not None and victim.dirty:
+            self.backing.write_block(victim.block_addr, victim.words)
+            self.dram.write(victim.block_addr)
+        then(data, slc.node)
 
     def _l2_install(self, block: int, words: list[int], dirty: bool) -> None:
         """Write dirty data (from a PUTM or chained copyback) into the L2

@@ -56,10 +56,6 @@ class Message:
         #: directory fanned the write out as UPDATEs instead of INVs)
         self.shared = shared
 
-    def payload_bytes(self, block_bytes: int, control_bytes: int) -> int:
-        """Wire size: header for control messages, plus the block for data."""
-        return block_bytes + control_bytes if self.mtype.carries_data else control_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         extra = f", req={self.requestor}" if self.requestor is not None else ""
         return (

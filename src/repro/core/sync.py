@@ -52,6 +52,10 @@ class Barrier:
         """Number of parties currently blocked."""
         return len(self._waiting)
 
+    def drop_waiters(self) -> None:
+        """Forget every blocked arrival (a failed run's cleanup)."""
+        self._waiting.clear()
+
     # -- checkpoint layer ---------------------------------------------
     def snapshot(self) -> dict:
         """Restorable state: generation count plus blocked owner ids
@@ -111,6 +115,10 @@ class Lock:
     def held(self) -> bool:
         """True while some core holds the lock."""
         return self._held
+
+    def drop_waiters(self) -> None:
+        """Forget every queued acquirer (a failed run's cleanup)."""
+        self._queue.clear()
 
     # -- checkpoint layer ---------------------------------------------
     def snapshot(self) -> dict:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.ddistance import SimilarityProfile, machine_store_histogram
+from repro.analysis.report import format_table
 from repro.coherence.policy import get_protocol
 from repro.common.config import default_config, table1_rows
 from repro.common.types import MessageClass
@@ -40,18 +41,6 @@ _SHORT = {
     "histogram": "hist", "linear_regression": "linreg", "pca": "pca",
     "blackscholes": "blksch", "inversek2j": "invk2j", "jpeg": "jpeg",
 }
-
-
-def _fmt_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    def line(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(r) for r in rows)
-    return "\n".join(out)
 
 
 def _traced(labels, rows) -> list[tuple[str, ObsCapture]]:
@@ -170,7 +159,7 @@ class TableResult:
 
     def render(self) -> str:
         """The figure as an aligned text table."""
-        return f"{self.title}\n{_fmt_table(self.headers, self.rows)}"
+        return f"{self.title}\n{format_table(self.headers, self.rows)}"
 
 
 def table1() -> TableResult:
@@ -214,7 +203,7 @@ class Fig1Result:
         ]
         return ("Fig. 1: dot-product speedup vs threads (baseline "
                 f"{self.base})\n"
-                + _fmt_table(["threads", "naive (Listing 1)",
+                + format_table(["threads", "naive (Listing 1)",
                               "privatized (Listing 2)"], rows))
 
 
@@ -262,7 +251,7 @@ class Fig2Result:
             rows.append([_SHORT.get(app, app)]
                         + [f"{prof.fraction_within(d) * 100:5.1f}%" for d in ds])
         return ("Fig. 2: cumulative d-distance distribution of stores\n"
-                + _fmt_table(["app"] + [f"<= {d}" for d in ds], rows))
+                + format_table(["app"] + [f"<= {d}" for d in ds], rows))
 
     def suite_average_within(self, suite: str, d: int) -> float:
         """Mean P(<= d) across the suite's apps."""
@@ -323,7 +312,7 @@ class Fig7Result:
             f"{np.mean([self.gi_pct[(a, 8)] for a in _APPS]):5.1f}",
         ])
         return ("Fig. 7: % of would-miss stores serviced by GS (a) / GI (b)\n"
-                + _fmt_table(
+                + format_table(
                     ["app", "GS d=4", "GS d=8", "GI d=4", "GI d=8"], rows))
 
 
@@ -376,7 +365,7 @@ class Fig8Result:
                 )
         return ("Fig. 8: normalized coherence traffic (per app, d=0 is "
                 f"baseline {self.base})\n"
-                + _fmt_table(
+                + format_table(
                     ["app", "d"] + [k.value for k in _FIG8_CLASSES]
                     + ["total"], rows))
 
@@ -429,7 +418,7 @@ class Fig9Result:
             f"{self.average_combined(d):6.2f}" for d in (4, 8)
         ])
         return (f"Fig. 9: dynamic energy saved (%) vs baseline {self.base}\n"
-                + _fmt_table(
+                + format_table(
                     ["app", "NoC d=4", "NoC d=8", "Mem d=4", "Mem d=8",
                      "Total d=4", "Total d=8"], rows))
 
@@ -473,7 +462,7 @@ class Fig10Result:
         rows.append(["Avg.", f"{self.average(4):6.2f}",
                      f"{self.average(8):6.2f}"])
         return (f"Fig. 10: speedup (%) vs baseline {self.base}\n"
-                + _fmt_table(["app", "d=4", "d=8"], rows))
+                + format_table(["app", "d=4", "d=8"], rows))
 
 
 def fig10(cache: SweepCache) -> Fig10Result:
@@ -510,7 +499,7 @@ class Fig11Result:
         rows.append(["Avg.", f"{self.average(4):9.4f}",
                      f"{self.average(8):9.4f}"])
         return ("Fig. 11: output error (%) under Ghostwriter\n"
-                + _fmt_table(["app", "d=4", "d=8"], rows))
+                + format_table(["app", "d=4", "d=8"], rows))
 
 
 def fig11(cache: SweepCache) -> Fig11Result:
@@ -543,7 +532,7 @@ class Fig12Result:
         ]
         return ("Fig. 12: GI timeout sensitivity "
                 "(bad_dot_product, 4-distance)\n"
-                + _fmt_table(
+                + format_table(
                     ["timeout (cycles)", "serviced by GI (%)",
                      "output error MPE (%)"], rows))
 
@@ -600,7 +589,7 @@ class FigProtocolsResult:
         ]
         return ("Protocol variants on the false-sharing microbenchmark "
                 "(bad_dot_product)\n"
-                + _fmt_table(
+                + format_table(
                     ["protocol", "cycles", "speedup", "traffic",
                      "error %", "GS %", "GI %"], table))
 
@@ -650,7 +639,7 @@ class FigTopologyResult:
         ]
         return ("Topology/scale sensitivity (bad_dot_product): GI "
                 "staleness and GS acceptance vs directory distance\n"
-                + _fmt_table(
+                + format_table(
                     ["topology", "cores", "dir hops", "cycles", "GS %",
                      "GI %", "flashes/kcyc", "flit-hops", "hops/flit",
                      "error %"], table))

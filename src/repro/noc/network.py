@@ -10,9 +10,16 @@ traffic, energy and stall time — is carried entirely by message counts and
 hop-weighted flit counts, which we account exactly per
 :class:`~repro.common.types.MessageClass` for Fig. 8 and the DSENT-style
 energy model (Fig. 9).
+
+The network keeps no state of its own beyond routing.  A message in
+flight is its queued delivery, ``partial(handler, msg)`` on the engine,
+and :meth:`Network.in_flight` reads the queue; the traffic it carried is
+the ``noc`` stats group's counters (``msgs_<class>`` per traffic class),
+which the checkpoint layer saves and restores with the rest of the tree.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.common.config import NocConfig
@@ -25,13 +32,16 @@ from repro.sim.engine import Engine
 
 __all__ = ["Network"]
 
+#: the stats-tree counter of each traffic class (the Fig. 8 breakdown)
+_CLASS_KEYS = {klass: f"msgs_{klass.value}" for klass in MessageClass}
+
 
 class Network:
     """Routes :class:`Message` objects between registered endpoints."""
 
     __slots__ = ("cfg", "topo", "engine", "stats", "block_bytes",
-                 "_endpoints", "_class_counts", "_in_flight", "fault_hook",
-                 "bus", "_c", "_route_memo", "_ctrl_bytes", "_data_bytes")
+                 "_endpoints", "fault_hook", "bus", "_c", "_route_memo",
+                 "_ctrl_bytes", "_data_bytes")
 
     def __init__(self, cfg: NocConfig, engine: Engine, block_bytes: int,
                  stats: StatGroup | None = None) -> None:
@@ -40,26 +50,20 @@ class Network:
         self.topo = build_topology(cfg)
         self.engine = engine
         self.block_bytes = block_bytes
-        # wire sizes (Message.payload_bytes): header, and header + block
+        # wire sizes: header, and header + block
         self._ctrl_bytes = cfg.control_msg_bytes
         self._data_bytes = block_bytes + cfg.control_msg_bytes
         self.stats = stats if stats is not None else StatGroup("noc")
         self._endpoints: dict[int, Callable[[Message], None]] = {}
-        # eagerly materialize the Fig. 8 class counters
-        self._class_counts = {klass: 0 for klass in MessageClass}
         self._c = self.stats.counters(
             "messages", "flits", "flit_hops", "router_traversals",
-            "payload_bytes",
+            "payload_bytes", *_CLASS_KEYS.values(),
         )
         # (src, dst, payload) -> (latency, flits, flit_hops, traversals):
         # the route terms are pure functions of the mesh geometry, and a
         # run sees only a handful of distinct (endpoints, payload) pairs
         self._route_memo: dict[tuple[int, int, int],
                                tuple[int, int, int, int]] = {}
-        #: messages sent but not yet delivered (id -> message); lets the
-        #: invariant monitor skip blocks with traffic in flight and the
-        #: watchdog dump what is stuck on the wire
-        self._in_flight: dict[int, Message] = {}
         #: optional fault-injection hook, called once per send; may
         #: corrupt ``msg.words`` and returns extra delivery delay cycles
         self.fault_hook: Callable[[Message], int] | None = None
@@ -92,14 +96,7 @@ class Network:
             ))
         if self.fault_hook is not None:
             latency += self.fault_hook(msg)
-        in_flight = self._in_flight
-        in_flight[id(msg)] = msg
-
-        def deliver() -> None:
-            del in_flight[id(msg)]
-            handler(msg)
-
-        self.engine.schedule(latency, deliver)
+        self.engine.schedule(latency, partial(handler, msg))
 
     def account_transfer(
         self, src: int, dst: int, data: bool,
@@ -126,8 +123,8 @@ class Network:
                 flits * topo.route_routers(src, dst),
             )
             self._route_memo[key] = ent
-        self._class_counts[klass] += 1
         c = self._c
+        c[_CLASS_KEYS[klass]] += 1
         c["messages"] += 1
         c["flits"] += ent[1]
         c["flit_hops"] += ent[2]
@@ -137,43 +134,18 @@ class Network:
 
     # -- introspection -----------------------------------------------------
     def in_flight(self) -> list[Message]:
-        """Messages currently on the wire (sent, not yet delivered)."""
-        return list(self._in_flight.values())
+        """Messages on the wire (sent, not yet delivered), in delivery
+        order: the queued deliveries' arguments."""
+        handlers = set(self._endpoints.values())
+        return [cb.args[0] for cb in self.engine.queued()
+                if type(cb) is partial and cb.func in handlers]
 
     def blocks_in_flight(self) -> set[int]:
         """Block addresses with at least one undelivered message."""
-        return {m.block_addr for m in self._in_flight.values()}
-
-    # -- checkpoint layer --------------------------------------------------
-    def snapshot(self) -> dict:
-        """Restorable transport state: the per-class message counters.
-
-        Requires an empty wire — an undelivered :class:`Message`'s
-        ``deliver`` closure cannot round-trip, so checkpoints are only
-        taken when nothing is in flight."""
-        from repro.sim.engine import CheckpointUnsupported
-
-        if self._in_flight:
-            raise CheckpointUnsupported(
-                f"{len(self._in_flight)} message(s) in flight; snapshot "
-                "requires an empty network"
-            )
-        return {"class_counts": {k.value: n
-                                 for k, n in self._class_counts.items()}}
-
-    def restore(self, blob: dict) -> None:
-        """Adopt :meth:`snapshot` state (the route memo is pure cache)."""
-        counts = blob["class_counts"]
-        self._class_counts = {klass: counts[klass.value]
-                              for klass in MessageClass}
-        self._in_flight = {}
+        return {m.block_addr for m in self.in_flight()}
 
     # -- reporting ---------------------------------------------------------
     def class_counts(self) -> dict[MessageClass, int]:
         """Per-class message counts (the Fig. 8 breakdown)."""
-        return dict(self._class_counts)
-
-    def finalize_stats(self) -> None:
-        """Copy class counts into the stats tree for flattening."""
-        for klass, n in self._class_counts.items():
-            setattr(self.stats, f"msgs_{klass.value}", n)
+        c = self._c
+        return {klass: c[key] for klass, key in _CLASS_KEYS.items()}

@@ -168,6 +168,10 @@ class Engine:
         """Number of events still queued."""
         return len(self._queue)
 
+    def queued(self) -> list[Callable[[], None]]:
+        """Every queued callback, in firing order (read-only view)."""
+        return [ev[2] for ev in sorted(self._queue)]
+
     def run(self, max_cycles: int = 500_000_000, max_events: int | None = None) -> int:
         """Drain the queue; returns the final cycle count.
 

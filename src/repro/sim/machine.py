@@ -19,7 +19,10 @@ timeline) get a weak proxy of it, and the network's endpoint handlers
 a weak proxy of the controllers they deliver to (the controllers hold
 the network).  The engine's timeout hook, which must point back while
 events run, is run-scoped: released when :meth:`Machine.run` or
-:meth:`Machine.resume` returns or raises.
+:meth:`Machine.resume` returns or raises.  A run that raises also
+drops its pending work — queued events, MSHR completions, directory
+transactions, sync waiters — whose continuations point back into the
+machine's parts.
 """
 from __future__ import annotations
 
@@ -320,8 +323,10 @@ class Machine:
         try:
             end = self._drain(max_cycles)
             return self._finalize(active, end)
-        except (SimulationError, InvariantViolation) as exc:
-            self._attach_checkpoint(exc)
+        except BaseException as exc:
+            if isinstance(exc, (SimulationError, InvariantViolation)):
+                self._attach_checkpoint(exc)
+            self._drop_pending_work()
             raise
         finally:
             self.engine.timeout_hook = None
@@ -371,9 +376,25 @@ class Machine:
                 )
         if self.timeline is not None:
             self.timeline.finish()
-        self.network.finalize_stats()
         self.stats.total_cycles = end
         return end
+
+    def _drop_pending_work(self) -> None:
+        """Forget a failed run's pending work: queued events, MSHR
+        completions, directory transactions and their queues, and
+        barrier/lock waiters.  Each holds a continuation that points
+        back into the machine's parts, so left in place they would keep
+        the failed machine for the cyclic collector."""
+        self.engine._queue.clear()
+        for l1 in self.l1s:
+            for entry in l1.mshrs.entries():
+                entry.on_complete = None
+        for agent in self.agents.values():
+            for e in agent.busy_entries().values():
+                e.txn = None
+                e.pending.clear()
+        for sync in self._barriers + self._locks:
+            sync.drop_waiters()
 
     def _attach_checkpoint(self, exc: BaseException) -> None:
         """Attach the most recent checkpoint to a fatal error (when a

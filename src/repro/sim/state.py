@@ -5,17 +5,18 @@ Every stateful component exposes the same two-method surface —
 ``restore(blob)`` adopting it — and this module composes them into one
 :class:`MachineCheckpoint`: engine clock + tagged event queue, cores,
 L1/L2 arrays and write-back buffers, directory entries, DRAM bank
-timing, backing memory, NoC counters, scribe programming, sync objects,
+timing, backing memory, scribe programming, sync objects,
 fault-injector RNG stream, and the full :class:`~repro.common.stats`
-counter tree.
+counter tree.  The NoC has no layer of its own: its traffic counters
+live in the stats tree, and a message in flight is a queued delivery.
 
-**Safe points.**  Most event-queue entries are anonymous closures (an
-in-flight coherence transaction's continuation) that cannot be rebuilt
-from data.  A checkpoint is therefore only capturable at a *safe point*:
-every queued event carries a restorable tag (see
-``Engine.schedule_tagged``), the NoC has nothing in flight, every L1 has
-no outstanding MSHR, and every directory agent is quiescent.  Any
-component that is mid-transaction raises
+**Safe points.**  Most event-queue entries are untagged callbacks (an
+in-flight coherence transaction's continuation, or a NoC delivery)
+that cannot be rebuilt from data.  A checkpoint is therefore only
+capturable at a *safe point*: every queued event carries a restorable
+tag (see ``Engine.schedule_tagged``), so nothing is on the wire; every
+L1 has no outstanding MSHR; and every directory agent is quiescent.
+Any component that is mid-transaction raises
 :class:`~repro.sim.engine.CheckpointUnsupported`; the
 :class:`CheckpointRecorder` treats that as "try again at the next
 boundary", never as an error.  Untagged events *block* capture by
@@ -196,17 +197,15 @@ class MachineCheckpoint:
         """Snapshot every component of ``machine`` at the current cycle.
 
         Raises :class:`CheckpointUnsupported` when the machine is not at
-        a safe point (untagged queued event, in-flight NoC message,
-        outstanding MSHR, busy directory entry, or a core state the
-        program layer cannot rebuild).
+        a safe point (an untagged queued event such as an in-flight NoC
+        message, an outstanding MSHR, a busy directory entry, or a core
+        state the program layer cannot rebuild).
         """
         # cheap O(components) precheck before any state is copied —
         # the recorder probes unsafe boundaries far more often than it
         # captures, so rejection must not cost a memory-image copy
         if not machine.engine.all_tagged():
             raise CheckpointUnsupported("untagged event in queue")
-        if machine.network.in_flight():
-            raise CheckpointUnsupported("NoC message in flight")
         for l1 in machine.l1s:
             if l1.mshrs.outstanding():
                 raise CheckpointUnsupported(f"L1 {l1.node} has MSHRs")
@@ -215,7 +214,6 @@ class MachineCheckpoint:
                 raise CheckpointUnsupported(f"directory {agent.node} busy")
         blob: StateBlob = {
             "engine": machine.engine.snapshot(),
-            "network": machine.network.snapshot(),
             "l1s": [l1.snapshot() for l1 in machine.l1s],
             "dirs": {node: agent.snapshot()
                      for node, agent in machine.agents.items()},
@@ -252,6 +250,12 @@ class MachineCheckpoint:
         against the captured one.
         """
         blob = self.blob
+        if "network" in blob:
+            # older checkpoints kept the NoC class counts outside the
+            # stats tree: resuming one would restart them at zero
+            raise ValueError(
+                "checkpoint has a 'network' layer (an older format whose "
+                "NoC class counts are not in its stats tree)")
         if len(blob["l1s"]) != len(machine.l1s):
             raise ValueError(
                 f"checkpoint has {len(blob['l1s'])} L1s, "
@@ -277,7 +281,6 @@ class MachineCheckpoint:
                     f"checkpoint/machine {key} presence mismatch "
                     "(different verify/faults/obs config?)")
 
-        machine.network.restore(blob["network"])
         for l1, sub in zip(machine.l1s, blob["l1s"]):
             l1.restore(sub)
         for node, sub in blob["dirs"].items():

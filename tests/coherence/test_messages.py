@@ -17,13 +17,6 @@ class TestMessage:
         assert m.words is None
         assert m.requestor == 0
 
-    def test_payload_sizes(self):
-        ctrl = Message(MessageType.INV, 0x40, src=0, dst=1)
-        data = Message(MessageType.DATA, 0x40, src=0, dst=1,
-                       words=[0] * 16)
-        assert ctrl.payload_bytes(64, 8) == 8
-        assert data.payload_bytes(64, 8) == 72
-
     def test_repr_stable(self):
         m = Message(MessageType.FWD_GETS, 0x80, src=2, dst=3, requestor=1)
         text = repr(m)

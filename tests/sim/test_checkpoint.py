@@ -122,6 +122,25 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="fingerprint"):
             ckpt.restore_into(fresh, verify=True)
 
+    def test_noc_counters_travel_in_the_stats_tree(self):
+        base = _scripted_machine(2)
+        base.run()
+        ckpt = base.checkpoint_recorder.latest()
+        assert "network" not in ckpt.blob
+        noc = ckpt.blob["stats"]["children"]["noc"]["values"]
+        assert noc["msgs_GETX"] > 0
+
+    def test_restore_rejects_a_network_layer(self):
+        """A blob from the older format kept the NoC class counts in a
+        layer of its own: resuming it would restart them at zero."""
+        base = _scripted_machine(2)
+        base.run()
+        ckpt = base.checkpoint_recorder.latest()
+        old = dataclasses.replace(ckpt, blob={
+            **ckpt.blob, "network": {"class_counts": {"GETS": 1}}})
+        with pytest.raises(ValueError, match="network"):
+            old.restore_into(_scripted_machine(2))
+
     def test_shape_mismatch_fails_loudly(self):
         base = _scripted_machine(2)
         base.run()
@@ -136,6 +155,38 @@ class TestSafePoints:
         m.engine.schedule(3, lambda: None)
         with pytest.raises(CheckpointUnsupported, match="untagged"):
             MachineCheckpoint.capture(m)
+
+    def test_message_in_flight_blocks_capture(self):
+        """Mid-transaction, the NoC's views are exactly the messages sent
+        but not yet delivered, in delivery order, and capture refuses;
+        after the drain both views are empty."""
+        m = _scripted_machine(2, period=None)
+        net, eng = m.network, m.engine
+        sent, delivered = [], []
+        net.fault_hook = lambda msg: sent.append(msg) or 0
+        for node, handler in list(net._endpoints.items()):
+            net._endpoints[node] = (
+                lambda msg, h=handler: (delivered.append(msg), h(msg)))
+        for core in m.cores:
+            core.start()
+        m._ran = True
+        while len(sent) - len(delivered) < 2:
+            assert eng.pending(), "the run ended with < 2 messages in flight"
+            eng.run_until(eng.now + 1)
+        done = {id(msg) for msg in delivered}
+        undelivered = [msg for msg in sent if id(msg) not in done]
+        wire = net.in_flight()
+        assert sorted(map(id, wire)) == sorted(map(id, undelivered))
+        assert net.blocks_in_flight() == {msg.block_addr
+                                          for msg in undelivered}
+        with pytest.raises(CheckpointUnsupported):
+            MachineCheckpoint.capture(m)
+        start = len(delivered)
+        eng.run()
+        on_wire = {id(msg) for msg in wire}
+        assert [msg for msg in delivered[start:]
+                if id(msg) in on_wire] == wire
+        assert net.in_flight() == [] and net.blocks_in_flight() == set()
 
     def test_engine_snapshot_rejects_anonymous_closures(self):
         eng = Engine()

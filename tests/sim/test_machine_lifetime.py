@@ -27,7 +27,9 @@ from repro.harness.experiment import (
 from repro.harness.figures import fig2
 from repro.harness.options import RunOptions
 from repro.harness.parallel import GridFailure, GridPoint, run_grid
-from repro.sim.engine import SimulationError
+from repro.common.config import small_config
+from repro.isa.instructions import BarrierWait
+from repro.sim.engine import SimulationError, SimulationTimeout
 from repro.sim.machine import Machine, machine_hook
 from repro.workloads.registry import PAPER_WORKLOADS, create
 
@@ -137,6 +139,38 @@ def test_machine_whose_run_raises_before_the_drain_is_freed():
         except SimulationError:
             return
         raise AssertionError("run() without threads did not raise")
+
+    assert_freed(failed_run)
+
+
+def test_machine_whose_run_times_out_is_freed():
+    # the timeout leaves queued events and an MSHR entry per L1 whose
+    # completion is its core's resume: both point back into the machine
+    def failed_run():
+        cfg = experiment_config(d_distance=4, num_cores=THREADS)
+        w = create("bad_dot_product", num_threads=THREADS, seed=3,
+                   n_points=256)
+        machine = w.prepare(cfg)
+        with pytest.raises(SimulationTimeout):
+            machine.run(max_cycles=300)
+
+    assert_freed(failed_run)
+
+
+def test_machine_deadlocked_at_a_barrier_is_freed():
+    # two of a barrier's three parties arrive: the queue drains with
+    # both cores parked among the barrier's waiters
+    def failed_run():
+        machine = Machine(small_config(num_cores=2))
+        barrier = machine.barrier(3)
+
+        def prog():
+            yield BarrierWait(barrier)
+
+        for cid in range(2):
+            machine.add_thread(cid, prog())
+        with pytest.raises(SimulationError, match="never finished"):
+            machine.run()
 
     assert_freed(failed_run)
 

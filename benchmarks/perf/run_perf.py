@@ -166,7 +166,8 @@ def bench_workload_false_sharing(n: int):
 def bench_core_step_loop(n: int):
     """The compiled interpreter's fetch/dispatch loop: one core running a
     pre-lowered all-load program cycling 16 words of a single resident
-    block (first load fills it, the rest are pure L1 hits)."""
+    block (first load fills it, the rest are pure L1 hits).  Each hit is
+    one scheduler step, as on every machine the experiments build."""
     from repro.common.config import small_config
     from repro.isa.compiled import CompiledProgram
     from repro.sim.machine import Machine

@@ -212,11 +212,10 @@ class L1Controller:
         """Perform one memory reference.
 
         Returns ``(True, load_value)`` on a hit (the caller charges the L1
-        hit latency itself, which lets cores batch hits without touching
-        the event queue).  On a miss, returns ``(False, None)`` and calls
-        ``on_done(load_value)`` when the transaction retires.  In-order
-        cores issue at most one outstanding access, which the MSHR layout
-        relies on.
+        hit latency itself, as its step's elapsed cycles).  On a miss,
+        returns ``(False, None)`` and calls ``on_done(load_value)`` when
+        the transaction retires.  In-order cores issue at most one
+        outstanding access, which the MSHR layout relies on.
 
         ``block``/``off`` accept the address decomposition when the
         caller already has it — the compiled interpreter passes the

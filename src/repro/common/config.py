@@ -398,12 +398,6 @@ class SimConfig:
     #: cycles.  Serializes same-block transactions at the home, which is
     #: what makes heavy false sharing collapse (Fig. 1).
     dir_access_latency: int = 6
-    #: Max consecutive L1-hit ops a core executes per scheduler event.
-    #: 1 (default) gives strict event ordering — larger values batch hits
-    #: for simulator speed but let a core slip past in-flight
-    #: invalidations, *understating* contention on heavily false-shared
-    #: blocks (measurably so on Fig. 1/Fig. 10).
-    core_quantum: int = 1
     #: Execute thread programs through the compiled-program layer
     #: (record-once columnar op streams + the sweep-wide program cache,
     #: see repro.isa.compiled).  Results are bit-identical either way —
@@ -433,8 +427,6 @@ class SimConfig:
             )
         if self.l1.block_bytes != self.l2.block_bytes:
             raise ValueError("L1/L2 block sizes must match")
-        if self.core_quantum < 1:
-            raise ValueError("core quantum must be >= 1")
         # runtime (not import-time) registry lookup: common.config must
         # stay importable before repro.coherence
         from repro.coherence.policy import available_protocols
@@ -524,7 +516,6 @@ def small_config(
     *,
     d_distance: int = 4,
     gi_timeout: int = 1024,
-    core_quantum: int = 8,
 ) -> SimConfig:
     """A scaled-down machine for tests and quick examples.
 
@@ -543,7 +534,6 @@ def small_config(
         dram=DramConfig(access_latency=60),
         ghostwriter=GhostwriterConfig(d_distance=d_distance,
                                       gi_timeout=gi_timeout),
-        core_quantum=core_quantum,
     )
 
 

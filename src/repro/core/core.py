@@ -16,15 +16,15 @@ arrives in one of three forms (see :mod:`repro.isa.compiled`):
 * a :class:`~repro.isa.compiled.CompiledProgram` — pre-lowered arrays
   (trace replay), executed directly with validation off.
 
-Hits and compute are executed in batches of up to ``core_quantum``
-L1-hit-equivalents without touching the event queue (the dominant
-simulator-performance optimization — see the HPC guide's "measure, then
-remove the bottleneck"); any miss, sync op, or exhausted quantum yields
-back to the scheduler.  The resulting event-order skew is bounded by the
-quantum and is configurable down to 1 for strictly ordered runs.  The
-compiled fast loop preserves the generator path's budget accounting,
-stat updates and ``engine.schedule`` pattern op for op, so the two modes
-produce bit-identical simulations (pinned by the equivalence suite).
+Each scheduler step runs ops until they have spent at least one L1 hit
+latency of cycles: one hit or compute op, or a few one-cycle pragmas.  Any
+miss or sync op yields back to the scheduler at once; an exhausted step
+budget reschedules the core at ``now + elapsed`` (a ``quantum_yields``
+count), so every core's ops interleave with in-flight coherence traffic
+in cycle order.  The compiled fast loop preserves the generator path's
+budget accounting, stat updates and ``engine.schedule`` pattern op for
+op, so the two modes produce bit-identical simulations (pinned by the
+equivalence suite).
 """
 from __future__ import annotations
 
@@ -74,7 +74,8 @@ def _prog_from_blob(blob: dict) -> CompiledProgram:
 
 
 class Core:
-    """One in-order core executing one thread program."""
+    """One in-order core executing one thread program, one op per
+    scheduler step (see the module docstring for the step budget)."""
 
     def __init__(
         self,
@@ -83,7 +84,6 @@ class Core:
         l1: L1Controller,
         program: "Iterator | ProgramSpec | CompiledProgram",
         stats: StatGroup,
-        quantum: int = 8,
         sync_tables: tuple[list, list] | None = None,
         record: bool = False,
     ) -> None:
@@ -91,8 +91,9 @@ class Core:
         self.engine = engine
         self.l1 = l1
         self.stats = stats
+        #: also the step budget: a step ends once its ops spent this many
+        #: cycles (see _step)
         self._hit_latency = l1.cfg.l1.hit_latency
-        self.quantum_cycles = max(1, quantum) * self._hit_latency
         #: hit-run fast lane enable (config knob; tracing/hooks disable
         #: it dynamically per attempt — see repro.core.hitrun)
         self._lane = getattr(l1.cfg, "fast_lane", True)
@@ -114,7 +115,7 @@ class Core:
         )
         self._sync_tables = sync_tables
         # restorable identity of this core's self-reschedule events
-        # (start and quantum yields) — see repro.sim.state
+        # (start and step-budget yields) — see repro.sim.state
         self._step_tag = ("core_step", cid)
         self._deopted = False
         # program-form resolution (see module docstring)
@@ -384,12 +385,11 @@ class Core:
 
     # ------------------------------------------------------------------
     def _step(self) -> None:
-        """Run ops until a blocking op or the quantum is exhausted."""
+        """Run ops until a blocking op or one hit latency is spent."""
         if self.done:
             return
-        budget = self.quantum_cycles
         elapsed = 0
-        hit_latency = self._hit_latency
+        hit_latency = budget = self._hit_latency
         st = self._c
         engine = self.engine
         access = self.l1.access
@@ -399,8 +399,8 @@ class Core:
             # op in it is a guaranteed L1 hit (repro.core.hitrun); falls
             # through to the scalar loop otherwise.  The inline horizon
             # gate (same bound try_hit_run re-checks) keeps contended
-            # quantum-1 phases — where the next queued event is cycles
-            # away and no merge can fit — at plain-int cost per step.
+            # phases — where the next queued event is cycles away and no
+            # merge can fit — at plain-int cost per step.
             if self._lane and not self._awaiting_load:
                 if self._lane_skip:
                     self._lane_skip -= 1
@@ -536,7 +536,7 @@ class Core:
                     continue
                 raise TypeError(f"compiled program holds opcode {opc}")
             if self._compiled is not None:
-                # quantum exhausted (a deopt breaks with _compiled None
+                # step budget spent (a deopt breaks with _compiled None
                 # and falls through to the generator loop below)
                 self._cpc = pc
                 st["quantum_yields"] += 1
@@ -649,6 +649,6 @@ class Core:
                 continue
             raise TypeError(f"thread program yielded {op!r}")
 
-        # quantum exhausted: let other events interleave
+        # step budget spent: let other events interleave
         st["quantum_yields"] += 1
         engine.schedule_tagged(elapsed, self._step, self._step_tag)

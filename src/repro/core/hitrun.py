@@ -21,14 +21,14 @@ Identity argument (the contract the differential suite pins):
   the stable hit-capable lines; a missing entry conservatively breaks
   the run.
 * **Which cycles?**  Scalar execution chops a run into quanta by the
-  greedy rule "retire while ``elapsed < quantum_cycles``" and schedules
-  the next step at ``now + elapsed``.  The lane reproduces the exact
-  boundaries from the plan's cost prefix-sum (``searchsorted`` instead
-  of the loop), merges only *complete* quanta, and always schedules the
-  first unmerged step as a real tagged event at its scalar dispatch
-  cycle — so the op that misses, blocks, deoptimizes, or finishes the
-  program always executes inside a real step with a scalar-identical
-  ``engine.now``.
+  greedy rule "retire while ``elapsed`` is under the step budget" (one
+  hit latency) and schedules the next step at ``now + elapsed``.  The
+  lane reproduces the exact boundaries from the plan's cost prefix-sum
+  (``searchsorted`` instead of the loop), merges only *complete*
+  quanta, and always schedules the first unmerged step as a real tagged
+  event at its scalar dispatch cycle — so the op that misses, blocks,
+  deoptimizes, or finishes the program always executes inside a real
+  step with a scalar-identical ``engine.now``.
 * **Which horizon?**  A merged step must not be overtaken by a foreign
   event: merging stops before the earliest queued event's cycle (strict
   — at a tie the queued event has the smaller seq and fires first in
@@ -76,9 +76,11 @@ _S = CoherenceState
 #: never depends on it, which is how the differential tests shrink it)
 MIN_RUN = 32
 
-#: safety cap on merged quanta per attempt; the first unmerged step
-#: simply re-enters the lane
-_MAX_QUANTA = 1 << 14
+#: safety cap on merged quanta (one hit each) per attempt; the first
+#: unmerged step simply re-enters the lane.  Every attempt classifies
+#: the whole window up to the next run break, so a lower cap re-pays
+#: that on long private runs
+_MAX_QUANTA = 1 << 17
 
 
 def try_hit_run(core) -> bool:
@@ -99,8 +101,8 @@ def try_hit_run(core) -> bool:
 
     pc = core._cpc
     n = len(core._ops)
-    qc = core.quantum_cycles
     hl = core._hit_latency
+    qc = hl                      # the core's step budget
     t0 = engine.now
 
     # merge horizon: strictly before the earliest queued event, and never

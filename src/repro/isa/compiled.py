@@ -180,9 +180,9 @@ class HitRunPlan:
       that blocks, releases a lock, reprograms the scribe unit, edits
       approx ranges, or flushes (opcode >= ``OP_BARRIER``).  A hit run
       can never extend across one.
-    * ``cost``/``cum`` — per-op quantum cost (hit latency for memory
+    * ``cost``/``cum`` — per-op step cost (hit latency for memory
       ops, the cycles column for computes) and its prefix sum, so the
-      lane finds scalar-identical quantum boundaries with
+      lane finds scalar-identical step boundaries with
       ``searchsorted`` instead of replaying the cost loop.
     """
 

@@ -86,15 +86,6 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, callback))
 
-    def schedule_at(self, cycle: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at an absolute cycle (>= now)."""
-        if cycle < self.now:
-            raise ValueError(
-                f"cannot schedule at absolute cycle {cycle}: it is in the "
-                f"past (current cycle is {self.now})"
-            )
-        self.schedule(cycle - self.now, callback)
-
     # -- tagged scheduling (checkpoint layer) -------------------------
     # Tagged events carry a picklable identity alongside the callback so
     # the queue can round-trip through a checkpoint: snapshot() stores
@@ -145,7 +136,7 @@ class Engine:
         ``resolve(tag)`` maps each event tag back to a live callback
         bound to the restoring machine.  Stale events — recorded cycle
         before the snapshot clock — are rejected deterministically with
-        ``ValueError`` (the same contract as :meth:`schedule_at`), so a
+        ``ValueError`` (as :meth:`schedule` rejects a negative delay), so a
         corrupted or hand-edited checkpoint fails loudly instead of
         replaying an event into the past.
         """

@@ -248,7 +248,6 @@ class Machine:
         core = Core(
             core_id, self.engine, self.l1s[core_id], program,
             self.stats.child("core").child(f"c{core_id}"),
-            quantum=self.cfg.core_quantum,
             sync_tables=(self._barriers, self._locks),
             record=self.checkpoint_recorder is not None,
         )

@@ -186,14 +186,12 @@ def generate_trace(seed: int, *, num_cores: int = 3, ops_per_core: int = 24,
 # execution + oracles
 # ---------------------------------------------------------------------
 def _trace_config(trace: FuzzTrace, *, protocol: str, gw: bool,
-                  jitter: int, monitor_period: int,
-                  core_quantum: int) -> SimConfig:
+                  jitter: int, monitor_period: int) -> SimConfig:
     """The small machine every backend runs a trace on; ``gw=False`` is
     the precise machine (``d_distance=0``)."""
     cfg = small_config(
         num_cores=max(2, trace.num_cores),
         d_distance=trace.d_distance if gw else 0, gi_timeout=256,
-        core_quantum=core_quantum,
     )
     return dc_replace(
         cfg,
@@ -227,8 +225,7 @@ def run_trace(trace: FuzzTrace, *, protocol: str = "ghostwriter",
         f"seed={trace.seed} protocol={protocol} gw={gw} jitter={jitter}"
     )
     m = Machine(_trace_config(trace, protocol=protocol, gw=gw,
-                              jitter=jitter, monitor_period=monitor_period,
-                              core_quantum=1))
+                              jitter=jitter, monitor_period=monitor_period))
 
     written: dict[int, set[int]] = {}
     last_write: dict[int, dict[int, int]] = {}  # addr -> {tid: last value}
@@ -427,8 +424,7 @@ def run_differential(trace: FuzzTrace, *, protocol: str, gw: bool,
         import repro.core.hitrun as hitrun
 
         base = _trace_config(trace, protocol=protocol, gw=gw,
-                             jitter=jitter, monitor_period=0,
-                             core_quantum=8)
+                             jitter=jitter, monitor_period=0)
         prints = {}
         saved_min_run = hitrun.MIN_RUN
         hitrun.MIN_RUN = 1

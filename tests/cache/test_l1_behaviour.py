@@ -70,7 +70,7 @@ class TestEvictionProtocol:
     def test_wb_buffer_serves_forward_race(self):
         """Another core's request forwarded to an owner that evicted the
         block mid-flight is served from the write-back buffer."""
-        m = build_machine(2, d_distance=0, quantum=1)
+        m = build_machine(2, d_distance=0)
         stride = _stride(m)
         got = {}
 
@@ -93,7 +93,7 @@ class TestStrayMessages:
     def test_inv_after_eviction_is_acked(self):
         """INV arriving for a block we evicted (PUTS still queued) must be
         acknowledged unconditionally."""
-        m = build_machine(3, d_distance=0, quantum=1)
+        m = build_machine(3, d_distance=0)
         stride = _stride(m)
 
         def a():

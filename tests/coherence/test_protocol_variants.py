@@ -26,7 +26,7 @@ BLK = 0x4000
 
 def _machine(protocol, *, d_distance=4, gi_timeout=1024, monitor_period=64):
     cfg = small_config(num_cores=2, d_distance=d_distance,
-                       gi_timeout=gi_timeout, core_quantum=8)
+                       gi_timeout=gi_timeout)
     return Machine(replace(
         cfg, protocol=protocol,
         verify=VerifyConfig(monitor_period=monitor_period),

@@ -376,7 +376,7 @@ class TestUpgradeRace:
         """Hammering the same block from two cores must hit the
         SM_D --Inv--> IM_D race and the directory's UPGRADE->GETX
         promotion (and still be exact)."""
-        m = build_machine(2, d_distance=0, quantum=1)
+        m = build_machine(2, d_distance=0)
         results = {}
 
         def worker(tid):
@@ -397,7 +397,7 @@ class TestUpgradeRace:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_n_way_upgrade_storm_is_exact(self, n):
-        m = build_machine(4, d_distance=0, quantum=1)
+        m = build_machine(4, d_distance=0)
         results = {}
 
         def worker(tid):

@@ -41,10 +41,9 @@ def _addr(word_choice: int, tid: int) -> int:
     return BASE + block + off
 
 
-def _run_program(ops_per_thread, n_threads, quantum=2,
-                 d_distance=4, protocol="ghostwriter"):
-    m = build_machine(max(2, n_threads),
-                      d_distance=d_distance, quantum=quantum,
+def _run_program(ops_per_thread, n_threads, d_distance=4,
+                 protocol="ghostwriter"):
+    m = build_machine(max(2, n_threads), d_distance=d_distance,
                       gi_timeout=512, protocol=protocol)
     written: dict[int, set[int]] = {}
     last_write: dict[int, tuple[int, int]] = {}  # addr -> (tid, value)
@@ -149,18 +148,6 @@ def _coherent_word(m, addr: int) -> int:
     return m.backing.load_word(addr)
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    progs=st.lists(
-        st.lists(op_strategy, max_size=20), min_size=2, max_size=3
-    ),
-    quantum=st.sampled_from([1, 4, 16]),
-)
-def test_quantum_does_not_break_protocol(progs, quantum):
-    """The hit-batching quantum changes timing but never correctness."""
-    _run_program(progs, len(progs), quantum=quantum)
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     progs=st.lists(
@@ -188,7 +175,7 @@ def test_write_budget_never_breaks_protocol(progs, budget):
     from repro.common.config import small_config, GhostwriterConfig
     from repro.isa.instructions import SetAprx
 
-    cfg = small_config(num_cores=max(2, len(progs)), core_quantum=2)
+    cfg = small_config(num_cores=max(2, len(progs)))
     cfg = replace(cfg, ghostwriter=GhostwriterConfig(
         d_distance=4, gi_timeout=512,
         approx_write_budget=budget,
@@ -231,7 +218,7 @@ def test_similarity_modes_never_break_protocol(progs, mode):
     from repro.common.config import small_config, GhostwriterConfig
     from repro.isa.instructions import SetAprx
 
-    cfg = small_config(num_cores=max(2, len(progs)), core_quantum=2)
+    cfg = small_config(num_cores=max(2, len(progs)))
     cfg = replace(cfg, ghostwriter=GhostwriterConfig(
         d_distance=4, gi_timeout=512, similarity_mode=mode,
     ))

@@ -38,11 +38,10 @@ class TraceRecorder:
 
 def build_machine(num_cores: int = 2, *, d_distance: int = 4,
                   gi_timeout: int = 1024,
-                  quantum: int = 8, protocol: str = "ghostwriter") -> Machine:
+                  protocol: str = "ghostwriter") -> Machine:
     from dataclasses import replace
     cfg = small_config(
-        num_cores=num_cores, d_distance=d_distance,
-        gi_timeout=gi_timeout, core_quantum=quantum,
+        num_cores=num_cores, d_distance=d_distance, gi_timeout=gi_timeout,
     )
     return Machine(replace(cfg, protocol=protocol))
 

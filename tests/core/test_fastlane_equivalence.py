@@ -247,9 +247,8 @@ def _machine_state(cfg, prog):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(draw_ops=_ops_strategy, quantum=st.sampled_from((1, 4, 16)),
-       gw=st.booleans())
-def test_random_compiled_streams_replay_identically(draw_ops, quantum, gw):
+@given(draw_ops=_ops_strategy, gw=st.booleans())
+def test_random_compiled_streams_replay_identically(draw_ops, gw):
     """Random compiled streams segment into hit runs whose vectorized
     replay matches the scalar interpreter op-for-op: final stats,
     memory, caches, and engine accounting are all byte-equal."""
@@ -261,8 +260,7 @@ def test_random_compiled_streams_replay_identically(draw_ops, quantum, gw):
     saved = hitrun.MIN_RUN
     hitrun.MIN_RUN = 1
     try:
-        base = small_config(num_cores=1, d_distance=6 if gw else 0,
-                            core_quantum=quantum)
+        base = small_config(num_cores=1, d_distance=6 if gw else 0)
         on = _machine_state(replace(base, fast_lane=True), prog)
         off = _machine_state(replace(base, fast_lane=False), prog)
     finally:

@@ -103,7 +103,7 @@ class TestSyncInPrograms:
         assert got["vals"] == [100, 101, 102]
 
     def test_lock_serializes_critical_section(self):
-        m = build_machine(4, d_distance=0, quantum=1)
+        m = build_machine(4, d_distance=0)
         lk = m.lock()
         iters = 20
 

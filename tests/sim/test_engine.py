@@ -48,39 +48,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             e.schedule(-1, lambda: None)
 
-    def test_schedule_at_absolute(self):
-        e = Engine()
-        seen = []
-        e.schedule(2, lambda: e.schedule_at(10, lambda: seen.append(e.now)))
-        e.run()
-        assert seen == [10]
-
-    def test_schedule_at_now_is_allowed(self):
-        e = Engine()
-        seen = []
-        e.schedule(5, lambda: e.schedule_at(5, lambda: seen.append(e.now)))
-        e.run()
-        assert seen == [5]
-
-    def test_schedule_at_past_cycle_rejected_clearly(self):
-        e = Engine()
-        captured = []
-
-        def late():
-            try:
-                e.schedule_at(3, lambda: None)
-            except ValueError as exc:
-                captured.append(str(exc))
-
-        e.schedule(10, late)
-        e.run()
-        [msg] = captured
-        # names the absolute cycle and the current clock, not a
-        # confusing negative delay
-        assert "absolute cycle 3" in msg
-        assert "current cycle is 10" in msg
-        assert "-" not in msg.split("cycle")[0]
-
 
 class TestRunControl:
     def test_timeout_raises(self):

@@ -36,7 +36,6 @@ def _machine(noc: NocConfig, num_cores: int = 4) -> Machine:
         noc=noc,
         dram=DramConfig(access_latency=60),
         verify=VerifyConfig(monitor_period=16, check_values=True),
-        core_quantum=8,
     )
     return Machine(cfg)
 

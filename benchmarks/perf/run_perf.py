@@ -328,11 +328,13 @@ def bench_workload_protocol(protocol: str, d_distance: int):
     ops = simulated cycles."""
     def factory(n: int):
         from repro.harness.experiment import run_workload
+        from repro.harness.options import RunOptions
 
         ops_box = [1]
+        options = RunOptions(protocol=protocol)
 
         def thunk() -> None:
-            row = run_workload("bad_dot_product", protocol=protocol,
+            row = run_workload("bad_dot_product", options=options,
                                d_distance=d_distance, num_threads=4,
                                seed=12345, n_points=n, max_value=7)
             ops_box[0] = row.cycles

@@ -10,6 +10,7 @@ both baselines, with and without Ghostwriter, and asserts:
 * outputs remain exact on both baselines.
 """
 from repro.harness.experiment import experiment_config
+from repro.harness.options import RunOptions
 from repro.workloads.registry import create
 
 from conftest import BENCH_SCALE, BENCH_SEED, BENCH_THREADS
@@ -22,7 +23,8 @@ def _run(name, *, protocol, d):
     """``d=0`` runs the precise ``protocol``; ``d>0`` its approximate
     registry variant."""
     cfg = experiment_config(
-        d_distance=d, protocol=_GW_VARIANT[protocol] if d else protocol,
+        d_distance=d,
+        options=RunOptions(protocol=_GW_VARIANT[protocol] if d else protocol),
     )
     w = create(name, num_threads=BENCH_THREADS, scale=BENCH_SCALE,
                seed=BENCH_SEED)

@@ -314,7 +314,7 @@ class L1Controller:
                     st["budget_fallbacks"] += 1
                 if over_budget or (
                     atype is AccessType.SCRIBBLE and not self._scribe_check(
-                        value, line.words[off], block, state
+                        value, line.words[off], block
                     )
                 ):
                     if state is _S.GS:
@@ -350,8 +350,7 @@ class L1Controller:
                 if (
                     atype is AccessType.SCRIBBLE
                     and self._allow_gs
-                    and self._scribe_check(value, line.words[off], block,
-                                           state)
+                    and self._scribe_check(value, line.words[off], block)
                 ):
                     line.words[off] = value
                     line.aux = 1  # first write of this approximate episode
@@ -367,8 +366,7 @@ class L1Controller:
                 if (
                     atype is AccessType.SCRIBBLE
                     and self._allow_gi
-                    and self._scribe_check(value, line.words[off], block,
-                                           state)
+                    and self._scribe_check(value, line.words[off], block)
                 ):
                     line.words[off] = value
                     line.aux = 1  # first write of this approximate episode

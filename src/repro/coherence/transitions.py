@@ -32,8 +32,7 @@ from functools import lru_cache
 from repro.common.types import CoherenceState as CS
 
 __all__ = ["Event", "Transition", "TRANSITIONS", "protocol_table",
-           "next_state", "render_fig3", "scribble_table_arrays",
-           "STATE_CODES"]
+           "next_state", "render_fig3", "STATE_CODES"]
 
 
 class Event(enum.Enum):
@@ -292,41 +291,9 @@ def next_state(state: CS, event: Event,
 
 _STATE_ORDER = (CS.I, CS.S, CS.E, CS.M, CS.O, CS.GS, CS.GI)
 
-#: fixed state -> small-int code used by the vectorized table arrays
-#: (and by the batch backend's decision-trace classification)
+#: fixed state -> small-int code (the machine fingerprint's array
+#: encoding of line states)
 STATE_CODES: dict[CS, int] = {s: i for i, s in enumerate(_STATE_ORDER)}
-
-
-@lru_cache(maxsize=None)
-def scribble_table_arrays(protocol: str = "ghostwriter"):
-    """Numpy-encoded scribble next-state lookup for ``protocol``.
-
-    Returns ``(similar, dissimilar)``: two int8 arrays of length
-    ``len(_STATE_ORDER)``, mapping a line's state code
-    (:data:`STATE_CODES`) to the next-state code the table prescribes
-    for a similar / dissimilar scribble, or ``-1`` where the table has
-    no entry (the combination cannot occur for a stable block under
-    that protocol).  This is the array form of
-    :func:`protocol_table` the batch backend uses to classify whole
-    decision-trace vectors at once instead of one ``next_state`` call
-    per check.
-    """
-    import numpy as np
-
-    idx = _index(protocol)
-    n = len(_STATE_ORDER)
-    similar = np.full(n, -1, dtype=np.int8)
-    dissimilar = np.full(n, -1, dtype=np.int8)
-    for state, code in STATE_CODES.items():
-        t = idx.get((state, Event.SCRIBBLE_SIMILAR))
-        if t is not None:
-            similar[code] = STATE_CODES[t.next_state]
-        t = idx.get((state, Event.SCRIBBLE_DISSIMILAR))
-        if t is not None:
-            dissimilar[code] = STATE_CODES[t.next_state]
-    similar.setflags(write=False)
-    dissimilar.setflags(write=False)
-    return similar, dissimilar
 
 
 def render_fig3(protocol: str = "ghostwriter") -> str:

@@ -249,16 +249,13 @@ class VerifyConfig:
     #: When enabled the monitor re-checks SWMR / directory agreement on
     #: every quiescent block while the simulation is still running.
     monitor_period: int = 0
-    #: Also check coherent (non-GS/GI) cache lines word-by-word against
-    #: the golden reference memory on every monitor pass.
-    check_values: bool = True
     #: Polling interval of the progress watchdog, in cycles; 0 disables
     #: it.  The watchdog replaces the blind ``max_cycles`` abort: if no
-    #: core retires work for ``watchdog_stalls`` consecutive intervals it
-    #: raises :class:`repro.verify.DeadlockError` with a diagnostic dump.
+    #: core retires work for
+    #: :data:`repro.verify.watchdog.STALL_THRESHOLD` consecutive
+    #: intervals it raises :class:`repro.verify.DeadlockError` with a
+    #: diagnostic dump.
     watchdog_interval: int = 0
-    #: Consecutive no-progress intervals tolerated before raising.
-    watchdog_stalls: int = 2
     #: Cycle period of the machine checkpoint recorder; 0 disables it.
     #: When enabled, ``Machine.run`` steps the event queue in
     #: period-sized windows and captures a restorable
@@ -272,8 +269,6 @@ class VerifyConfig:
             raise ValueError("monitor period cannot be negative")
         if self.watchdog_interval < 0:
             raise ValueError("watchdog interval cannot be negative")
-        if self.watchdog_stalls < 1:
-            raise ValueError("watchdog stall threshold must be >= 1")
         if self.checkpoint_period < 0:
             raise ValueError("checkpoint period cannot be negative")
 

@@ -101,8 +101,6 @@ def _lane_cfg(kwargs: dict):
         d_distance=kwargs["d_distance"],
         gi_timeout=kwargs.get("gi_timeout", 1024),
         num_cores=kwargs.get("num_threads", DEFAULT_THREADS),
-        protocol=kwargs.get("protocol"),
-        topology=kwargs.get("topology"),
         options=kwargs.get("options"),
     )
 

@@ -32,7 +32,7 @@ _SWEEP_FIGS = ("fig7", "fig8", "fig9", "fig10", "fig11")
 _ALL = ("table1", "table2", "fig1", "fig2") + _SWEEP_FIGS + ("fig12",)
 _EXTRA_FIGS = ("protocols", "topology")
 
-#: core counts the "topology" figure sweeps, clipped to --threads/--cores
+#: core counts the "topology" figure sweeps, clipped to --threads
 _TOPOLOGY_CORES = (24, 64, 128, 256)
 
 
@@ -45,11 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="which table/figure to regenerate ('protocols' "
                         "compares every registered coherence variant)")
     p.add_argument("--threads", type=int, default=F.DEFAULT_THREADS,
-                   help="simulated cores / workload threads")
-    p.add_argument("--cores", type=int, default=None, metavar="N",
-                   help="alias for --threads (the topology sweeps speak "
-                        "core counts); also raises the ceiling of the "
-                        "'topology' figure's 24/64/128/256 grid")
+                   help="simulated cores / workload threads; also the "
+                        "ceiling of the 'topology' figure's "
+                        "24/64/128/256 core grid")
     p.add_argument("--topology", choices=available_topologies(),
                    default="mesh",
                    help="NoC topology of the simulated machine (see "
@@ -127,10 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     """Parse arguments, run the requested figures, print/export them."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.cores is not None:
-        if args.cores < 1:
-            parser.error(f"--cores must be >= 1, got {args.cores}")
-        args.threads = args.cores
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.fault_rate < 0:
         parser.error(f"--fault-rate must be >= 0, got {args.fault_rate:g}")
     if args.jobs < 1:

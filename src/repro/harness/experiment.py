@@ -1,12 +1,12 @@
 """Experiment runner: one (workload, protocol-config) -> one result row.
 
-Defines the *experiment machine*: the paper's Table 1 machine with the
-cache capacities scaled down in proportion to our scaled-down inputs
-(DESIGN.md substitution 2).  The paper streams tens of megabytes through
-32 kB L1s; our inputs are ~100x smaller, so the experiment machine uses
-2 kB L1s / 8 kB L2 slices to preserve the stream-to-cache ratio that
-drives eviction pressure and bounds approximate-state lifetimes.  All
-other Table 1 parameters (cores, mesh, latencies, GI timeout) are kept.
+Defines the *experiment machine*: the paper's Table 1 machine,
+unmodified (32 kB L1s, 128 kB L2 slices, 6x4 mesh, Table 1 latencies
+and GI timeout).  Inputs are scaled down (DESIGN.md substitution 2),
+but with the self-limiting scribble-fallback semantics the approximate
+dynamics do not depend on cache-capacity pressure, so the hierarchy is
+not scaled with them.  Only the d-distance, the GI timeout, the core
+count and the :class:`RunOptions` knobs vary between runs.
 """
 from __future__ import annotations
 
@@ -36,8 +36,6 @@ WATCHDOG_INTERVAL = 100_000
 
 def experiment_config(*, d_distance: int, gi_timeout: int = 1024,
                       num_cores: int = DEFAULT_THREADS,
-                      protocol: str | None = None,
-                      topology: str | None = None,
                       options: RunOptions | None = None) -> SimConfig:
     """The scaled experiment machine (see module docstring).
 
@@ -45,10 +43,9 @@ def experiment_config(*, d_distance: int, gi_timeout: int = 1024,
     0 is the precise machine (the paper's "d = 0" baseline bars).
     Run-shaping knobs — invariant checking, fault injection, event
     tracing, the coherence ``protocol``, the NoC ``topology`` — come in
-    through ``options`` (:class:`RunOptions`).  An explicit
-    ``protocol``/``topology`` argument overrides the matching
-    ``options`` field; a protocol name means exactly its registry entry,
-    and ``d_distance=0`` strips its approximate states.  The default
+    through ``options`` (:class:`RunOptions`) and nowhere else.  A
+    protocol name means exactly its registry entry, and
+    ``d_distance=0`` strips its approximate states.  The default
     mesh at paper core counts is Table 1's machine exactly; a
     non-default topology — or more cores than the 6x4 mesh holds —
     rebuilds the NoC through
@@ -58,24 +55,16 @@ def experiment_config(*, d_distance: int, gi_timeout: int = 1024,
     spinning to ``max_cycles``.
     """
     opts = options if options is not None else RunOptions()
-    if protocol is None:
-        protocol = opts.protocol
-    if topology is None:
-        topology = opts.topology
-    # The experiment machine is the paper's Table 1 machine, unmodified:
-    # with the self-limiting scribble-fallback semantics the approximate
-    # dynamics do not depend on cache-capacity pressure, so no scaling of
-    # the hierarchy is needed despite the scaled-down inputs.
     cfg = default_config().with_ghostwriter(d_distance=d_distance,
                                             gi_timeout=gi_timeout)
     # noc and num_cores must land in the same replace: validation runs
     # per replace, and a non-default topology sized for few cores would
     # reject Table 1's 24 cores (and vice versa) mid-update
     noc = cfg.noc
-    if topology != "mesh" or num_cores > noc.num_nodes:
-        noc = noc_for_topology(topology, num_cores)
+    if opts.topology != "mesh" or num_cores > noc.num_nodes:
+        noc = noc_for_topology(opts.topology, num_cores)
     return replace(
-        cfg, num_cores=num_cores, noc=noc, protocol=protocol,
+        cfg, num_cores=num_cores, noc=noc, protocol=opts.protocol,
         fast_lane=opts.fast_lane,
         verify=opts.verify_config(watchdog_interval=WATCHDOG_INTERVAL),
         faults=opts.fault_config(),
@@ -189,23 +178,21 @@ def row_from_result(name: str, result: WorkloadResult,
 def run_workload(name: str, *, d_distance: int,
                  num_threads: int = DEFAULT_THREADS,
                  scale: float = DEFAULT_SCALE, seed: int = 12345,
-                 gi_timeout: int = 1024, protocol: str | None = None,
-                 topology: str | None = None,
+                 gi_timeout: int = 1024,
                  options: RunOptions | None = None,
                  **workload_kwargs) -> RunRow:
     """Run one workload once.  ``d_distance=0`` disables approximation.
 
-    The coherence protocol comes from ``options.protocol`` unless the
-    ``protocol`` keyword overrides it.  ``options`` also carries the
-    other run-shaping knobs (:class:`RunOptions`); any other keyword is
-    a workload parameter.  When the options enable tracing, the returned
+    ``options`` carries the run-shaping knobs (:class:`RunOptions`), the
+    coherence protocol and NoC topology among them; any other keyword
+    is a workload parameter.  When the options enable tracing, the returned
     row's ``obs`` field holds the run's
     :class:`~repro.obs.capture.ObsCapture`.
     """
     result, cfg = run_workload_result(
         name, d_distance=d_distance, num_threads=num_threads, scale=scale,
-        seed=seed, gi_timeout=gi_timeout, protocol=protocol,
-        topology=topology, options=options, **workload_kwargs,
+        seed=seed, gi_timeout=gi_timeout, options=options,
+        **workload_kwargs,
     )
     return row_from_result(name, result, cfg)
 
@@ -213,7 +200,6 @@ def run_workload(name: str, *, d_distance: int,
 def run_workload_result(
     name: str, *, d_distance: int, num_threads: int = DEFAULT_THREADS,
     scale: float = DEFAULT_SCALE, seed: int = 12345, gi_timeout: int = 1024,
-    protocol: str | None = None, topology: str | None = None,
     options: RunOptions | None = None,
     **workload_kwargs,
 ) -> tuple[WorkloadResult, SimConfig]:
@@ -226,7 +212,7 @@ def run_workload_result(
     """
     cfg = experiment_config(
         d_distance=d_distance, gi_timeout=gi_timeout, num_cores=num_threads,
-        protocol=protocol, topology=topology, options=options,
+        options=options,
     )
     w = create(name, num_threads=num_threads, seed=seed, scale=scale,
                **workload_kwargs)

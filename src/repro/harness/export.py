@@ -4,10 +4,9 @@ Each figure result is flattened into a list of records (one dict per
 plotted point/bar), so downstream plotting tools can regenerate the
 paper's graphics from files instead of re-running simulations.
 
-The writer layer is symmetric: :func:`export_records` writes any record
-list in any subset of the supported formats (CSV, JSON, JSONL, npz), and
-both the figure exporter (:func:`export_result`) and the trace/timeline
-exporter (:func:`export_captures`) delegate to it.
+:func:`export_result` writes a figure's records as CSV + JSON;
+:func:`export_captures` writes a traced sweep's events as JSONL beside
+its merged timeline and report.
 """
 from __future__ import annotations
 
@@ -16,15 +15,12 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.obs.capture import ObsCapture
 from repro.obs.report import render_report
 from repro.obs.timeline import save_merged
 
 __all__ = ["records_for", "write_csv", "write_json", "write_jsonl",
-           "write_npz", "export_records", "export_result",
-           "export_captures"]
+           "export_records", "export_result", "export_captures"]
 
 
 def records_for(name: str, result: Any) -> list[dict[str, Any]]:
@@ -123,44 +119,14 @@ def write_jsonl(records: list[dict[str, Any]], path: Path) -> None:
             fh.write("\n")
 
 
-def write_npz(records: list[dict[str, Any]], path: Path) -> None:
-    """Write uniformly-keyed records as columnar compressed ``.npz``."""
-    if not records:
-        raise ValueError("nothing to export")
-    fields = list(records[0])
-    for rec in records[1:]:
-        if list(rec) != fields:
-            raise ValueError("npz export requires uniformly-keyed records")
-    np.savez_compressed(
-        path, **{f: np.asarray([rec[f] for rec in records]) for f in fields}
-    )
-
-
-_WRITERS = {
-    "csv": write_csv,
-    "json": write_json,
-    "jsonl": write_jsonl,
-    "npz": write_npz,
-}
-
-
 def export_records(records: list[dict[str, Any]], name: str,
-                   out_dir: str | Path,
-                   formats: Sequence[str] = ("csv", "json")) -> list[Path]:
-    """Write ``<name>.<fmt>`` under ``out_dir`` for each format."""
+                   out_dir: str | Path) -> list[Path]:
+    """Write ``<name>.csv`` and ``<name>.json`` under ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
-    for fmt in formats:
-        writer = _WRITERS.get(fmt)
-        if writer is None:
-            raise KeyError(
-                f"unknown export format {fmt!r}; "
-                f"available: {sorted(_WRITERS)}"
-            )
-        path = out / f"{name}.{fmt}"
-        writer(records, path)
-        paths.append(path)
+    paths = [out / f"{name}.csv", out / f"{name}.json"]
+    write_csv(records, paths[0])
+    write_json(records, paths[1])
     return paths
 
 

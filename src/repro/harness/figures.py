@@ -80,13 +80,11 @@ class SweepCache:
 
     def __init__(self, num_threads: int = DEFAULT_THREADS,
                  scale: float = DEFAULT_SCALE, seed: int = 12345,
-                 protocol: str | None = None,
                  options: RunOptions | None = None) -> None:
         self.num_threads = num_threads
         self.scale = scale
         self.seed = seed
         opts = options if options is not None else RunOptions()
-        self.protocol = protocol if protocol is not None else opts.protocol
         if opts.fault_rate:
             # faulty sweeps log-and-continue so every row completes
             opts = opts.replace(fault_policy="log")
@@ -97,8 +95,7 @@ class SweepCache:
     def _run_kwargs(self, app: str, d: int) -> dict:
         return dict(
             d_distance=d, num_threads=self.num_threads,
-            scale=self.scale, seed=self.seed, protocol=self.protocol,
-            options=self.options,
+            scale=self.scale, seed=self.seed, options=self.options,
         )
 
     def result_store(self):
@@ -380,7 +377,7 @@ def fig8(cache: SweepCache) -> Fig8Result:
             normalized[(app, d)] = {
                 k: traffic.get(k, 0) / base_total for k in _FIG8_CLASSES
             }
-    return Fig8Result(normalized, _base_name(cache.protocol))
+    return Fig8Result(normalized, _base_name(cache.options.protocol))
 
 
 # ---------------------------------------------------------------------
@@ -433,7 +430,7 @@ def fig9(cache: SweepCache) -> Fig9Result:
             noc[(app, d)] = sav.noc_pct
             mem[(app, d)] = sav.memory_pct
             comb[(app, d)] = sav.total_pct
-    return Fig9Result(noc, mem, comb, _base_name(cache.protocol))
+    return Fig9Result(noc, mem, comb, _base_name(cache.options.protocol))
 
 
 # ---------------------------------------------------------------------
@@ -474,7 +471,7 @@ def fig10(cache: SweepCache) -> Fig10Result:
             speedup[(app, d)] = (
                 base_cycles / cache.row(app, d).cycles - 1.0
             ) * 100.0
-    return Fig10Result(speedup, _base_name(cache.protocol))
+    return Fig10Result(speedup, _base_name(cache.options.protocol))
 
 
 # ---------------------------------------------------------------------
@@ -545,16 +542,16 @@ def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
     ``options`` says how the underlying grid runs (workers, backend,
     result store, resume, per-point retry/timeout).
     """
-    extra = {"options": options} if options is not None else {}
+    opts = options if options is not None else RunOptions()
     points = [
         GridPoint("bad_dot_product",
                   dict(d_distance=4, num_threads=num_threads, seed=seed,
                        gi_timeout=timeout, n_points=n_points, max_value=3,
-                       **extra),
+                       options=opts),
                   label=f"gi_timeout={timeout}")
         for timeout in timeouts
     ]
-    rows = run_grid(points, options=options)
+    rows = run_grid(points, options=opts)
     for row in rows:
         if isinstance(row, GridFailure):
             raise RuntimeError(f"fig12 point failed: {row.render()}")
@@ -663,11 +660,12 @@ def fig_topology(topologies=None, core_counts=(24, 64, 128, 256), *,
         n_points=n_points, max_value=3,
     )
     _ok(result, "topology figure")
+    opts = options if options is not None else RunOptions()
     dir_hops = []
     for topo, cores in result.values:
         cfg = experiment_config(d_distance=d_distance,
                                 gi_timeout=gi_timeout, num_cores=cores,
-                                topology=topo, options=options)
+                                options=opts.replace(topology=topo))
         dir_hops.append(cfg.noc.topo.mean_directory_hops())
     return FigTopologyResult(
         list(result.values), dir_hops, list(result.rows),

@@ -4,7 +4,10 @@ Invariant checking, fault injection, worker count, tracing, protocol,
 topology, durability and backend selection all travel as one frozen
 :class:`RunOptions` value: ``experiment_config``, ``run_workload``,
 ``run_pair``, ``SweepCache``, ``faults.sweep`` and the CLI each take it
-as their single ``options`` argument.
+as their single ``options`` argument.  No entry point takes a knob
+beside it (a sweep over protocols or topologies gives each point its
+own ``options.replace(...)``), so one simulation has one spelling and
+one result-store key.
 """
 from __future__ import annotations
 

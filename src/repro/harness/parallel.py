@@ -185,10 +185,7 @@ def _point_identity(item: Any) -> tuple[str, str, int | None]:
     """
     workload = str(getattr(item, "workload", "") or "")
     kwargs = getattr(item, "kwargs", None) or {}
-    protocol = kwargs.get("protocol")
-    options = kwargs.get("options")
-    if protocol is None and options is not None:
-        protocol = getattr(options, "protocol", None)
+    protocol = getattr(kwargs.get("options"), "protocol", None)
     seed = kwargs.get("seed")
     return (workload, str(protocol or ""),
             seed if isinstance(seed, int) else None)

@@ -99,12 +99,12 @@ class SweepResult:
 
 def _sweep(parameter: str, values: Sequence, points: list[GridPoint], *,
            options: RunOptions | None) -> SweepResult:
-    if options is not None:
-        points = [
-            GridPoint(p.workload, {"options": options, **p.kwargs}, p.label)
-            for p in points
-        ]
-    rows = run_grid(points, options=options)
+    """Run ``points`` under ``options``; a point that names its own
+    ``options`` (a protocol or topology sweep) keeps them."""
+    opts = options if options is not None else RunOptions()
+    points = [GridPoint(p.workload, {"options": opts, **p.kwargs}, p.label)
+              for p in points]
+    rows = run_grid(points, options=opts)
     return SweepResult(parameter, tuple(values), tuple(rows))
 
 
@@ -175,11 +175,12 @@ def sweep_protocols(workload: str = "bad_dot_product",
 
     if protocols is None:
         protocols = available_protocols()
+    opts = options if options is not None else RunOptions()
     points = [
         GridPoint(workload,
                   dict(d_distance=d_distance if get_protocol(p).approx else 0,
                        num_threads=num_threads, scale=scale, seed=seed,
-                       protocol=p, **kwargs),
+                       options=opts.replace(protocol=p), **kwargs),
                   label=f"protocol={p}")
         for p in protocols
     ]
@@ -206,11 +207,12 @@ def sweep_topology_scale(workload: str = "bad_dot_product",
     if topologies is None:
         topologies = available_topologies()
     values = [(t, c) for t in topologies for c in core_counts]
+    opts = options if options is not None else RunOptions()
     points = [
         GridPoint(workload,
                   dict(d_distance=d_distance, gi_timeout=gi_timeout,
-                       num_threads=c, topology=t, scale=scale, seed=seed,
-                       **kwargs),
+                       num_threads=c, scale=scale, seed=seed,
+                       options=opts.replace(topology=t), **kwargs),
                   label=f"topology={t} cores={c}")
         for t, c in values
     ]

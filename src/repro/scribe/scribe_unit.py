@@ -58,7 +58,7 @@ class ScribeUnit:
         self.bus = None
         #: decision-trace probe (repro.sim.batch): a list that records
         #: every comparator decision as
-        #: ``(write_word, block_word, programmed_d, line_state, ok)``;
+        #: ``(write_word, block_word, programmed_d, ok)``;
         #: None keeps the hot path to a single attribute check
         self.probe = None
 
@@ -108,13 +108,11 @@ class ScribeUnit:
         self._counters["passes"] += n
 
     def check(self, write_word: int, block_word: int,
-              block: int = -1, state=None) -> bool:
+              block: int = -1) -> bool:
         """The ``approx`` output signal: True when the scribble may be
         serviced approximately under the programmed d-distance.
 
-        ``state`` is the coherence state of the resident line at check
-        time; it is unused by the comparator itself but recorded by the
-        batch backend's decision-trace probe.
+        ``block`` only labels the emitted scribble event.
         """
         if not self.enabled:
             return False
@@ -126,7 +124,7 @@ class ScribeUnit:
         self._counters["passes" if ok else "fails"] += 1
         if self.probe is not None:
             self.probe.append(
-                (write_word, block_word, self.d_distance, state, ok))
+                (write_word, block_word, self.d_distance, ok))
         bus = self.bus
         if bus is not None:
             bus.emit(Event(

@@ -52,22 +52,18 @@ driven directly by the fuzzer's batch differential
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.analysis.ddistance import within_distance_array
-from repro.coherence.transitions import STATE_CODES, scribble_table_arrays
 from repro.sim.machine import machine_hook
 
 __all__ = [
     "DecisionTrace", "Lane", "RepRun", "probe_hook", "run_group",
-    "share_split", "gi_never_armed", "classify_divergence",
+    "share_split", "gi_never_armed",
 ]
-
-_CODE_TO_STATE = {code: state for state, code in STATE_CODES.items()}
 
 
 def probe_hook(records: list):
@@ -76,7 +72,7 @@ def probe_hook(records: list):
     machines constructed while the context is active.
 
     Each comparator decision appends
-    ``(write_word, block_word, programmed_d, line_state, ok)``.
+    ``(write_word, block_word, programmed_d, ok)``.
 
     Composition with the hit-run fast lane (:mod:`repro.core.hitrun`):
     the lane stays enabled under the batch backend, but an attached
@@ -84,7 +80,7 @@ def probe_hook(records: list):
     break* — the lane refuses to merge comparator checks it cannot
     replay record-for-record, so the breaking scribble executes on the
     scalar path at its scalar dispatch cycle and the probe tuples
-    (values, states) stay byte-identical to a lane-off run.
+    stay byte-identical to a lane-off run.
     Precise-state hits before the break still vectorize.
     """
     def attach(machine) -> None:
@@ -106,26 +102,20 @@ class DecisionTrace:
     sharing predicate.
     """
 
-    __slots__ = ("mode", "n_checks", "write_words", "block_words",
-                 "states", "ok", "_cache")
+    __slots__ = ("mode", "write_words", "block_words", "ok", "_cache")
 
     def __init__(self, records: Iterable[tuple], swept_d: int,
                  mode: str = "bitwise") -> None:
         if mode not in ("bitwise", "arithmetic"):
             raise ValueError(f"unknown similarity mode {mode!r}")
-        records = list(records)
         self.mode = mode
-        self.n_checks = len(records)
         swept = [r for r in records if r[2] == swept_d]
         n = len(swept)
         self.write_words = np.fromiter(
             (r[0] & 0xFFFFFFFF for r in swept), dtype=np.uint32, count=n)
         self.block_words = np.fromiter(
             (r[1] & 0xFFFFFFFF for r in swept), dtype=np.uint32, count=n)
-        self.states = np.fromiter(
-            (STATE_CODES.get(r[3], -1) for r in swept), dtype=np.int8,
-            count=n)
-        self.ok = np.fromiter((r[4] for r in swept), dtype=bool, count=n)
+        self.ok = np.fromiter((r[3] for r in swept), dtype=bool, count=n)
         self._cache: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -246,36 +236,3 @@ def run_group(lanes: Iterable[Lane],
                                            rep_armed_gi=armed)
         yield rep, held.pop(), shared   # popped: the consumer's alone
 
-
-def classify_divergence(trace: DecisionTrace, d: int,
-                        protocol: str = "ghostwriter") -> Counter:
-    """Why threshold ``d`` peels from this trace, as protocol-table
-    transitions.
-
-    Maps every disagreeing check through the vectorized scribble
-    next-state arrays (:func:`~repro.coherence.transitions.
-    scribble_table_arrays`) and returns a Counter over
-    ``(line_state, rep_next_state, lane_next_state)`` triples — empty
-    when the lane shares.  States are
-    :class:`~repro.common.types.CoherenceState` members (``None`` for
-    checks whose recorded state was not a stable coherence state).
-    """
-    pred = trace.decisions(d)
-    diff = pred != trace.ok
-    out: Counter = Counter()
-    if not diff.any():
-        return out
-    similar, dissimilar = scribble_table_arrays(protocol)
-    states = trace.states[diff]
-    valid = states >= 0
-    safe = np.where(valid, states, 0)
-    rep_next = np.where(trace.ok[diff], similar[safe], dissimilar[safe])
-    lane_next = np.where(pred[diff], similar[safe], dissimilar[safe])
-    for s, rn, ln, v in zip(states.tolist(), rep_next.tolist(),
-                            lane_next.tolist(), valid.tolist()):
-        if v:
-            out[(_CODE_TO_STATE[s],
-                 _CODE_TO_STATE.get(rn), _CODE_TO_STATE.get(ln))] += 1
-        else:
-            out[(None, None, None)] += 1
-    return out

@@ -136,15 +136,11 @@ class Machine:
         self.monitor: InvariantMonitor | None = None
         if cfg.verify.monitor_period:
             self.monitor = InvariantMonitor(
-                me, cfg.verify.monitor_period,
-                check_values=cfg.verify.check_values,
-                policy=cfg.faults.policy,
+                me, cfg.verify.monitor_period, policy=cfg.faults.policy,
             )
         self.watchdog: ProgressWatchdog | None = None
         if cfg.verify.watchdog_interval:
-            self.watchdog = ProgressWatchdog(
-                me, cfg.verify.watchdog_interval, cfg.verify.watchdog_stalls
-            )
+            self.watchdog = ProgressWatchdog(me, cfg.verify.watchdog_interval)
         self.injector: FaultInjector | None = None
         if cfg.faults.active:
             self.injector = FaultInjector(me, cfg.faults)

@@ -408,6 +408,7 @@ def main(argv=None) -> int:
     from dataclasses import replace
 
     from repro.harness.experiment import experiment_config
+    from repro.harness.options import RunOptions
     from repro.workloads.registry import create
 
     ap = argparse.ArgumentParser(
@@ -421,15 +422,14 @@ def main(argv=None) -> int:
     ap.add_argument("--scale", type=float, default=0.25)
     ap.add_argument("--seed", type=int, default=12345)
     ap.add_argument("--checkpoint-period", type=int, default=50_000)
-    ap.add_argument("--protocol", default=None)
-    ap.add_argument("--topology", default=None)
+    ap.add_argument("--protocol", default="ghostwriter")
+    ap.add_argument("--topology", default="mesh")
     args = ap.parse_args(argv)
 
     cfg = experiment_config(
         d_distance=args.d_distance,
         num_cores=args.num_threads,
-        protocol=args.protocol,
-        topology=args.topology,
+        options=RunOptions(protocol=args.protocol, topology=args.topology),
     )
     cfg = replace(cfg, verify=replace(
         cfg.verify, checkpoint_period=args.checkpoint_period))

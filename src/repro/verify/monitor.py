@@ -140,13 +140,11 @@ class GoldenMemory:
 class InvariantMonitor:
     """Periodic in-flight invariant checker for one machine."""
 
-    def __init__(self, machine, period: int, *, check_values: bool = True,
-                 policy: str = "abort") -> None:
+    def __init__(self, machine, period: int, *, policy: str = "abort") -> None:
         if period < 1:
             raise ValueError("monitor period must be >= 1 cycle")
         self.machine = machine
         self.period = period
-        self.check_values = check_values
         self.policy = policy
         self.golden = GoldenMemory(machine.backing)
         self.stats = machine.stats.child("verify")
@@ -214,8 +212,7 @@ class InvariantMonitor:
                 m, block,
                 {node: line.state for node, (_l1, line) in by_node.items()},
             )
-            if self.check_values:
-                self._check_values(block, by_node)
+            self._check_values(block, by_node)
 
     # ------------------------------------------------------------------
     # data-value invariant

@@ -2,7 +2,7 @@
 
 The blind ``max_cycles`` abort tells you *that* the simulation hung, not
 *why*.  The watchdog polls every ``watchdog_interval`` cycles; if no core
-retires any work for ``watchdog_stalls`` consecutive intervals while
+retires any work for :data:`STALL_THRESHOLD` consecutive intervals while
 cores are still unfinished, it raises :class:`DeadlockError` carrying
 :func:`diagnostic_dump`: per-core blocked op, L1 MSHR and write-back
 buffer contents, directory busy entries with their pending queues, and
@@ -17,13 +17,17 @@ from __future__ import annotations
 
 from repro.sim.engine import SimulationError
 
-__all__ = ["DeadlockError", "ProgressWatchdog", "diagnostic_dump"]
+__all__ = ["DeadlockError", "ProgressWatchdog", "STALL_THRESHOLD",
+           "diagnostic_dump"]
 
 _MAX_DUMPED_MESSAGES = 24
 
+#: consecutive no-progress polls tolerated before raising
+STALL_THRESHOLD = 2
+
 
 class DeadlockError(SimulationError):
-    """No forward progress for the configured number of watchdog
+    """No forward progress for :data:`STALL_THRESHOLD` watchdog
     intervals; the message carries the full diagnostic dump.
 
     When the hung machine had a checkpoint recorder attached,
@@ -101,12 +105,11 @@ def diagnostic_dump(machine) -> str:
 class ProgressWatchdog:
     """Raises :class:`DeadlockError` when retirement stops."""
 
-    def __init__(self, machine, interval: int, stall_threshold: int = 2) -> None:
+    def __init__(self, machine, interval: int) -> None:
         if interval < 1:
             raise ValueError("watchdog interval must be >= 1 cycle")
         self.machine = machine
         self.interval = interval
-        self.stall_threshold = stall_threshold
         self._last: tuple | None = None
         self._stalls = 0
 
@@ -139,7 +142,7 @@ class ProgressWatchdog:
             return
         if snap == self._last:
             self._stalls += 1
-            if self._stalls >= self.stall_threshold:
+            if self._stalls >= STALL_THRESHOLD:
                 raise DeadlockError(
                     f"no op retired in {self._stalls * self.interval} "
                     f"cycles ({sum(1 for c in cores if not c.done)} core(s) "

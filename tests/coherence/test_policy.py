@@ -99,10 +99,12 @@ class TestResolvePolicy:
         """A requested MESI/MOESI run at d>0 never enters GS/GI and is
         exact — it must not silently run Ghostwriter."""
         from repro.harness.experiment import run_workload
+        from repro.harness.options import RunOptions
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            row = run_workload("bad_dot_product", protocol=base,
+            row = run_workload("bad_dot_product",
+                               options=RunOptions(protocol=base),
                                d_distance=4, num_threads=4, n_points=2048,
                                max_value=7)
         assert row.protocol == base

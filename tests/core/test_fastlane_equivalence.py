@@ -75,7 +75,7 @@ def _sizing(name):
     return {"scale": SCALE}
 
 
-def _run(name, *, lane, d=4, protocol=None, seed=SEED, warm=True):
+def _run(name, *, lane, d=4, protocol="ghostwriter", seed=SEED, warm=True):
     """One workload run; returns (RunRow, fingerprint payload dict).
 
     ``warm`` first runs the same workload on a machine with a program
@@ -86,7 +86,7 @@ def _run(name, *, lane, d=4, protocol=None, seed=SEED, warm=True):
     program; every measured run must hit the cache.
     """
     kwargs = dict(d_distance=d, num_threads=THREADS, seed=seed,
-                  protocol=protocol, options=RunOptions(fast_lane=lane),
+                  options=RunOptions(fast_lane=lane, protocol=protocol),
                   **_sizing(name))
     if warm:
         with recording_machines():

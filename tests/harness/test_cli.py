@@ -40,6 +40,10 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["table1", "--profile", "-1"])
 
+    def test_zero_threads_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["table2", "--threads", "0"])
+
     def test_fig10_small_machine(self, capsys):
         assert main(["fig10", "--threads", "4", "--scale", "0.1"]) == 0
         assert "Fig. 10" in capsys.readouterr().out

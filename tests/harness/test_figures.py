@@ -165,7 +165,7 @@ class TestFig12:
 
 def test_sweep_figure_titles_name_the_precise_base():
     moesi = F.SweepCache(num_threads=2, scale=0.05, seed=99,
-                         protocol="ghostwriter-moesi")
+                         options=RunOptions(protocol="ghostwriter-moesi"))
     for fig in (F.fig8, F.fig9, F.fig10):
         title = fig(moesi).render().splitlines()[0]
         assert "baseline MOESI" in title

@@ -72,6 +72,8 @@ class TestRunOptions:
 #: the per-knob keywords every options-taking entry point used to accept
 _FAULT_KEYWORDS = {"check_invariants": False, "fault_rate": 2.0,
                    "fault_seed": 9, "fault_policy": "log"}
+#: the machine-shape keywords that now live on ``RunOptions`` alone
+_SHAPE_KEYWORDS = {"protocol": "mesi", "topology": "ring"}
 
 
 class TestSurfaceShims:
@@ -90,9 +92,11 @@ class TestSurfaceShims:
         assert cache.options.fault_policy == "log"
 
     @pytest.mark.parametrize("entry,removed", [
-        ("experiment_config", {**_FAULT_KEYWORDS, "enabled": False}),
-        ("run_workload", _FAULT_KEYWORDS),
-        ("SweepCache", {**_FAULT_KEYWORDS, "jobs": 2}),
+        ("experiment_config", {**_FAULT_KEYWORDS, **_SHAPE_KEYWORDS,
+                               "enabled": False}),
+        ("run_workload", {**_FAULT_KEYWORDS, **_SHAPE_KEYWORDS}),
+        ("run_workload_result", _SHAPE_KEYWORDS),
+        ("SweepCache", {**_FAULT_KEYWORDS, **_SHAPE_KEYWORDS, "jobs": 2}),
         ("run_pair", {"jobs": 1}),
         ("fault_sweep", {"jobs": 1}),
         ("run_grid", {"jobs": 2, "chunk_size": 1, "retry": None,
@@ -106,16 +110,20 @@ class TestSurfaceShims:
         ("row_from_result", {"d_label": 0}),
         ("create", {"d_distance": 4}),
         ("RunOptions", {"flight_recorder": 8, "point_backoff": 0.5}),
-    ], ids=["experiment_config", "run_workload", "SweepCache", "run_pair",
-            "fault_sweep", "run_grid", "sweep_d_distance", "fig12",
-            "SweepCache.prefetch", "with_ghostwriter", "small_config",
-            "GhostwriterConfig", "row_from_result", "create", "RunOptions"])
+        ("VerifyConfig", {"check_values": False, "watchdog_stalls": 3}),
+    ], ids=["experiment_config", "run_workload", "run_workload_result",
+            "SweepCache", "run_pair", "fault_sweep", "run_grid",
+            "sweep_d_distance", "fig12", "SweepCache.prefetch",
+            "with_ghostwriter", "small_config", "GhostwriterConfig",
+            "row_from_result", "create", "RunOptions", "VerifyConfig"])
     def test_removed_keyword_raises(self, entry, removed):
         from repro.common.config import (
-            GhostwriterConfig, default_config, small_config,
+            GhostwriterConfig, VerifyConfig, default_config, small_config,
         )
         from repro.faults.sweep import fault_sweep
-        from repro.harness.experiment import row_from_result
+        from repro.harness.experiment import (
+            row_from_result, run_workload_result,
+        )
         from repro.workloads.registry import create
         from repro.harness.figures import fig12
         from repro.harness.parallel import run_grid
@@ -131,6 +139,8 @@ class TestSurfaceShims:
             "experiment_config": lambda **kw: experiment_config(
                 d_distance=0, **kw),
             "run_workload": lambda **kw: run_workload(
+                "histogram", d_distance=4, num_threads=2, scale=0.05, **kw),
+            "run_workload_result": lambda **kw: run_workload_result(
                 "histogram", d_distance=4, num_threads=2, scale=0.05, **kw),
             "SweepCache": lambda **kw: SweepCache(
                 num_threads=2, scale=0.05, **kw),
@@ -151,6 +161,7 @@ class TestSurfaceShims:
                 "histogram", None, None, **kw),
             "create": lambda **kw: create("histogram", num_threads=2, **kw),
             "RunOptions": RunOptions,
+            "VerifyConfig": VerifyConfig,
         }
         # run_pair and the sweeps forward unknown keywords to the
         # workload, whose TypeError comes back as a failed grid point

@@ -54,7 +54,7 @@ class TestDeterminism:
 
         points = [
             GridPoint("bad_dot_product",
-                      dict(protocol=p,
+                      dict(options=RunOptions(protocol=p),
                            d_distance=4 if get_protocol(p).approx else 0,
                            **_POINT_KW),
                       label=f"protocol={p}")

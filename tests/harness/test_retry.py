@@ -400,7 +400,7 @@ class TestFailureReporting:
         try:
             [out] = run_grid([GridPoint(
                 "bad_dot_product",
-                dict(d_distance=4, seed=777, protocol="ghostwriter"),
+                dict(d_distance=4, seed=777, options=RunOptions()),
                 label="d=4")])
         finally:
             par.run_workload = original

@@ -130,7 +130,7 @@ class TestFigTopology:
     def test_rows_carry_the_new_noc_metrics(self):
         row = run_workload("bad_dot_product", d_distance=4, num_threads=2,
                            seed=12345, n_points=256, max_value=3,
-                           topology="ring")
+                           options=RunOptions(topology="ring"))
         assert row.flits > 0
         assert row.flit_hops > 0
         assert row.hops_per_flit == pytest.approx(

@@ -1,12 +1,8 @@
 """ObsCapture harvesting, the export bundle, and --jobs bit-identity."""
 import json
 
-import pytest
-
 from repro.harness.experiment import run_workload
-from repro.harness.export import (
-    export_captures, export_records, write_npz,
-)
+from repro.harness.export import export_captures, export_records
 from repro.harness.options import RunOptions
 from repro.obs.capture import ObsCapture
 from repro.obs.timeline import load_merged
@@ -43,20 +39,13 @@ class TestObsCapture:
 
 
 class TestExportRecords:
-    def test_formats_and_unknown_format(self, tmp_path):
+    def test_writes_csv_and_json(self, tmp_path):
         recs = [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
-        paths = export_records(recs, "t", tmp_path,
-                               formats=("csv", "json", "jsonl", "npz"))
-        assert [p.name for p in paths] == ["t.csv", "t.json", "t.jsonl",
-                                          "t.npz"]
-        lines = (tmp_path / "t.jsonl").read_text().splitlines()
-        assert [json.loads(ln) for ln in lines] == recs
-        with pytest.raises(KeyError):
-            export_records(recs, "t", tmp_path, formats=("yaml",))
-
-    def test_npz_requires_uniform_keys(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_npz([{"a": 1}, {"b": 2}], tmp_path / "bad.npz")
+        paths = export_records(recs, "t", tmp_path)
+        assert [p.name for p in paths] == ["t.csv", "t.json"]
+        assert json.loads((tmp_path / "t.json").read_text()) == recs
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            "a,b", "1,2", "3,4"]
 
 
 class TestExportCaptures:

@@ -15,7 +15,7 @@ def _machine(flight_depth=64):
     cfg = small_config(num_cores=2)
     return Machine(replace(
         cfg,
-        verify=VerifyConfig(watchdog_interval=500, watchdog_stalls=2),
+        verify=VerifyConfig(watchdog_interval=500),
         obs=ObsConfig(flight_recorder=flight_depth),
     ))
 

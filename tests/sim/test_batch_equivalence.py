@@ -41,13 +41,9 @@ def clean_cache():
 
 
 def _points(name, *, ds=(0, 2, 8), seeds=SEEDS, gis=(1024,),
-            protocol=None, options=None):
+            options=None):
     """A d x gi x seed sweep grid over one workload."""
-    extra = []
-    if protocol is not None:
-        extra.append(("protocol", protocol))
-    if options is not None:
-        extra.append(("options", options))
+    extra = [("options", options)] if options is not None else []
     if name in MICROBENCHMARKS:
         size = [("n_points", 96), ("max_value", 7)]
     else:
@@ -86,7 +82,7 @@ def test_batch_matches_serial_per_protocol(name, protocol):
     """Every registered protocol variant: the scribble next-state tables
     differ per protocol, so sharing decisions replay different policy
     paths — rows must still be byte-equal."""
-    points = _points(name, ds=(2, 8), protocol=protocol)
+    points = _points(name, ds=(2, 8), options=RunOptions(protocol=protocol))
     assert run_grid(points, options=BATCH) == run_grid(points)
 
 

@@ -22,13 +22,11 @@ from repro.harness.options import RunOptions
 from repro.harness.parallel import GridPoint, run_grid
 from repro.scribe.similarity import is_similar
 from repro.sim.batch import (
-    DecisionTrace, Lane, classify_divergence, gi_never_armed, run_group,
-    share_split,
+    DecisionTrace, Lane, gi_never_armed, run_group, share_split,
 )
 
 words = st.integers(min_value=0, max_value=WORD_MASK)
 ds = st.integers(min_value=1, max_value=WORD_BITS)
-states = st.sampled_from(["S", "I", "GS", "GI", None])
 
 
 @st.composite
@@ -43,7 +41,7 @@ def traces_and_lanes(draw):
         # mix swept-site records with hardcoded-d records the trace
         # must ignore (the substitution rule)
         p = draw(st.sampled_from([swept_d, swept_d, 4, 31]))
-        records.append((a, b, p, draw(states), is_similar(a, b, p)))
+        records.append((a, b, p, is_similar(a, b, p)))
     lane_ds = draw(st.lists(ds, min_size=1, max_size=6))
     return swept_d, records, lane_ds
 
@@ -59,7 +57,7 @@ class TestDecisionTrace:
         swept = [r for r in records if r[2] == swept_d]
         assert len(trace) == len(swept)
         for d in lane_ds:
-            expect = [is_similar(a, b, d) for a, b, _p, _s, _ok in swept]
+            expect = [is_similar(a, b, d) for a, b, _p, _ok in swept]
             assert trace.decisions(d).tolist() == expect
 
     @given(traces_and_lanes())
@@ -73,11 +71,9 @@ class TestDecisionTrace:
         for d in lane_ds:
             flips = sum(
                 is_similar(a, b, d) != ok
-                for a, b, _p, _s, ok in swept
+                for a, b, _p, ok in swept
             )
             assert trace.agrees(d) == (flips == 0)
-            # a genuinely divergent lane has a non-empty classification
-            assert (sum(classify_divergence(trace, d).values()) == flips)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -132,8 +128,8 @@ class TestShareSplit:
             # reuse the same trace for every rep: d-dependent sharing
             # only — the GI rule is covered above
             rep_trace = DecisionTrace(
-                [(a, b, lane.d if p == swept_d else p, s, ok)
-                 for a, b, p, s, ok in records], swept_d=lane.d)
+                [(a, b, lane.d if p == swept_d else p, ok)
+                 for a, b, p, ok in records], swept_d=lane.d)
             return RepRun(result=result, cfg=None, trace=rep_trace)
 
         import repro.sim.batch as B
@@ -151,9 +147,9 @@ class TestShareSplit:
 class TestInjectedDivergence:
     def _grid(self, name, *, ds=(4,), gis=(1024,), options=None, n=96,
               protocol=None):
-        extra = [("options", options)] if options is not None else []
         if protocol is not None:
-            extra.append(("protocol", protocol))
+            options = (options or RunOptions()).replace(protocol=protocol)
+        extra = [("options", options)] if options is not None else []
         return [
             GridPoint(name, tuple([("d_distance", d), ("gi_timeout", gi),
                                    ("num_threads", 4), ("seed", 7),
@@ -300,7 +296,9 @@ def test_gi_never_armed_reads_the_flash_counters():
     result, _cfg = run_workload_result("bad_dot_product", d_distance=4,
                                        num_threads=4, seed=7,
                                        gi_timeout=16, n_points=96,
-                                       max_value=3, protocol="gw-gi-only")
+                                       max_value=3,
+                                       options=RunOptions(
+                                           protocol="gw-gi-only"))
     assert not gi_never_armed(result.stats)
     result, _cfg = run_workload_result("histogram", d_distance=4,
                                        num_threads=4, seed=7, scale=0.05)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import small_config
 from repro.harness.experiment import experiment_config, row_from_result
+from repro.harness.options import RunOptions
 from repro.workloads.base import WorkloadResult
 from repro.workloads.registry import create as registry_create
 from repro.isa.compiled import ProgramCache, ProgramSpec
@@ -290,10 +291,13 @@ class TestWorkloadMatrix:
     @staticmethod
     def _cfg(protocol, topology):
         from dataclasses import replace
+        # "mesi" cells run the default protocol's precise (d=0) machine
+        opts = RunOptions(topology=topology or "mesh")
+        if protocol != "mesi":
+            opts = opts.replace(protocol=protocol)
         cfg = experiment_config(
             d_distance=0 if protocol == "mesi" else 4, num_cores=4,
-            protocol=None if protocol == "mesi" else protocol,
-            topology=topology)
+            options=opts)
         return replace(cfg, verify=replace(cfg.verify,
                                            checkpoint_period=150))
 

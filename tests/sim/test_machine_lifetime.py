@@ -123,7 +123,7 @@ def test_optional_components_free_machine(section, knobs):
 def test_protocol_variants_free_machine(protocol):
     assert_freed(lambda: run_workload(
         "jpeg", d_distance=4, num_threads=THREADS, scale=SCALE,
-        protocol=protocol))
+        options=RunOptions(protocol=protocol)))
 
 
 def test_machine_never_run_is_freed():

@@ -258,6 +258,47 @@ class TestPointKey:
         assert fp["protocol"] == "ghostwriter"
 
 
+class TestOneSimulationOneKey:
+    """Every harness path that builds the same simulation builds the
+    same grid point, so a row committed by one is served to the others."""
+
+    OPTS = RunOptions(protocol="ghostwriter-moesi", check_invariants=False)
+
+    def _points(self, monkeypatch, module, call):
+        """The grid points ``call`` hands to ``module.run_grid``."""
+        seen = []
+
+        def fake_run_grid(points, **_kw):
+            seen.extend(points)
+            return [None] * len(points)
+
+        monkeypatch.setattr(module, "run_grid", fake_run_grid)
+        call()
+        return seen
+
+    def test_sweep_cache_and_sweep_d_distance_share_a_key(self, monkeypatch):
+        from repro.harness import figures, parallel, sweeps
+        from repro.harness.experiment import run_pair
+
+        run = dict(num_threads=2, scale=0.05, seed=7)
+        cache = self._points(
+            monkeypatch, figures,
+            lambda: figures.SweepCache(options=self.OPTS, **run)
+            .prefetch(("histogram",), (0, 4)))
+        sweep = self._points(
+            monkeypatch, sweeps,
+            lambda: sweeps.sweep_d_distance("histogram", (0, 4),
+                                            options=self.OPTS, **run))
+        pair = self._points(
+            monkeypatch, parallel,
+            lambda: run_pair("histogram", d_distance=4, options=self.OPTS,
+                             **run))
+        keys = [[point_key(p.workload, p.kwargs) for p in points]
+                for points in (cache, sweep, pair)]
+        assert keys[0] == keys[1] == keys[2]
+        assert len(set(keys[0])) == 2
+
+
 # ---------------------------------------------------------------------
 # the maintenance CLI
 # ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.harness.autotune import tune_d_distance
 from repro.harness.experiment import experiment_config, run_workload
 from repro.harness.export import export_result
 from repro.harness import figures as F
+from repro.harness.options import RunOptions
 from repro.sim.machine import Machine
 from repro.trace import TraceRecorder, false_sharing_candidates, replay_trace
 from repro.workloads.registry import create
@@ -85,7 +86,7 @@ def test_tune_then_verify_pipeline():
 def test_moesi_figure_pipeline():
     """The sweep figures run end to end on the MOESI-based variant."""
     cache = F.SweepCache(num_threads=THREADS, scale=0.1, seed=11,
-                         protocol="ghostwriter-moesi")
+                         options=RunOptions(protocol="ghostwriter-moesi"))
     f10 = F.fig10(cache)
     f11 = F.fig11(cache)
     for app in F.PAPER_WORKLOADS:

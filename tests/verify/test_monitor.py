@@ -12,11 +12,11 @@ from repro.verify.monitor import GoldenMemory, InvariantViolation
 BLK = 0x4000
 
 
-def _machine(num_cores=2, *, period=16, policy="abort", check_values=True):
+def _machine(num_cores=2, *, period=16, policy="abort"):
     cfg = small_config(num_cores=num_cores)
     cfg = replace(
         cfg,
-        verify=VerifyConfig(monitor_period=period, check_values=check_values),
+        verify=VerifyConfig(monitor_period=period),
         faults=FaultConfig(policy=policy),
     )
     return Machine(cfg)

@@ -35,7 +35,7 @@ def _machine(noc: NocConfig, num_cores: int = 4) -> Machine:
         l2=CacheConfig(4096, 8, 64, 10),
         noc=noc,
         dram=DramConfig(access_latency=60),
-        verify=VerifyConfig(monitor_period=16, check_values=True),
+        verify=VerifyConfig(monitor_period=16),
     )
     return Machine(cfg)
 

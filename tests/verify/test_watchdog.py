@@ -12,13 +12,9 @@ from repro.verify.watchdog import DeadlockError, diagnostic_dump
 BLK = 0x4000
 
 
-def _machine(num_cores=2, *, interval=500, stalls=2):
+def _machine(num_cores=2, *, interval=500):
     cfg = small_config(num_cores=num_cores)
-    cfg = replace(
-        cfg,
-        verify=VerifyConfig(watchdog_interval=interval,
-                            watchdog_stalls=stalls),
-    )
+    cfg = replace(cfg, verify=VerifyConfig(watchdog_interval=interval))
     return Machine(cfg)
 
 

@@ -9,10 +9,19 @@ Usage::
 ``--scale`` shrinks the workload inputs (faster, noisier); ``--threads``
 shrinks the simulated machine.  Defaults reproduce the shapes reported
 in EXPERIMENTS.md.
+
+Every simulation a command asks for runs once.  The grid points of all
+requested figures — the shared sweep's (Figs. 7-11), Fig. 1's and
+Fig. 12's — run as one :func:`~repro.harness.parallel.run_grid` call
+over ``--jobs`` worker processes (default: every CPU this process may
+use), so no figure waits at a barrier for another's stragglers.  Fig. 2
+then runs the sweep's six ``d=0`` points in this process, reads each
+live machine's store histogram, and hands the rows to the sweep.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -20,6 +29,7 @@ from dataclasses import fields, replace
 from repro.coherence.policy import available_protocols
 from repro.harness import figures as F
 from repro.harness.options import RunOptions
+from repro.harness.parallel import run_grid
 from repro.noc.topologies import available_topologies
 from repro.obs.timeline import DEFAULT_TIMELINE_INTERVAL
 
@@ -74,10 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(flips per million cycles; see repro.faults)")
     p.add_argument("--fault-seed", type=int, default=1,
                    help="PRNG seed for the fault injector")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan independent sweep points out over N worker "
-                        "processes (results are bit-identical to --jobs 1; "
-                        "see repro.harness.parallel)")
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="fan independent grid points out over N worker "
+                        "processes (default: the CPUs this process may "
+                        "use; 1 with --backend batch or --profile); "
+                        "results are bit-identical to --jobs 1 (see "
+                        "repro.harness.parallel)")
     p.add_argument("--backend", choices=("serial", "batch"),
                    default="serial",
                    help="execution backend of every sweep figure: 'batch' "
@@ -125,6 +137,11 @@ def main(argv: list[str] | None = None) -> int:
     """Parse arguments, run the requested figures, print/export them."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.jobs is None:
+        # batch runs in one process, and a profile should cover the
+        # simulations rather than a supervisor waiting on pipes
+        args.jobs = (1 if args.backend == "batch" or args.profile
+                     else _available_cpus())
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.fault_rate < 0:
@@ -182,10 +199,13 @@ def main(argv: list[str] | None = None) -> int:
         crashed, captures = _run_figures(wanted, args, cache)
     if args.trace_out is not None:
         from repro.harness.export import export_captures
-        # the shared sweep's runs, then each other figure's in run order
-        labeled = [(f"{app}.d{d}", row.obs)
-                   for (app, d), row in sorted(cache.rows().items())
-                   if row.obs is not None] + captures
+        # the shared sweep's runs, then each other figure's in run
+        # order; fig2 alone fills the cache but asked for no sweep
+        sweep = [(f"{app}.d{d}", row.obs)
+                 for (app, d), row in sorted(cache.rows().items())
+                 if row.obs is not None]
+        labeled = (sweep if set(wanted) & set(_SWEEP_FIGS) else []) \
+            + captures
         if labeled:
             paths = export_captures(labeled, args.trace_out)
             print(f"[trace: {', '.join(str(p) for p in paths)}]")
@@ -194,9 +214,17 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if crashed else 0
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one), the default ``--jobs``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _execution_label(args) -> str:
-    """How the sweep grid ran: in one batch process, in worker
-    processes, or serially in this process."""
+    """How the grid ran: in one batch process, in worker processes, or
+    serially in this process."""
     if args.backend == "batch":
         return "batch"
     if args.jobs > 1:
@@ -204,28 +232,63 @@ def _execution_label(args) -> str:
     return "serial"
 
 
+def _figure_grids(wanted, args, cache) -> dict:
+    """figure -> :class:`~repro.harness.figures.FigureGrid` of every
+    requested figure that runs a grid, plus the shared sweep's under
+    ``"sweep"``."""
+    grids = {}
+    if "fig1" in wanted:
+        counts = tuple(t for t in (1, 2, 4, 8, 16, 24) if t <= args.threads)
+        grids["fig1"] = F.fig1_grid(thread_counts=counts, seed=args.seed,
+                                    options=cache.options)
+    if "fig12" in wanted:
+        grids["fig12"] = F.fig12_grid(num_threads=args.threads,
+                                      seed=args.seed, options=cache.options)
+    sweep_wanted = [f for f in wanted if f in _SWEEP_FIGS]
+    if sweep_wanted:
+        # fig7 alone only needs the d in {4, 8} legs, and fig2's live
+        # runs are the d=0 legs
+        ds = ((4, 8) if sweep_wanted == ["fig7"] or "fig2" in wanted
+              else (0, 4, 8))
+        grids["sweep"] = cache.grid(ds=ds)
+    return grids
+
+
+def _run_grid(grids, args, cache) -> dict:
+    """Run every grid's points as one ``run_grid`` call; figure -> the
+    outcomes of its own points."""
+    points = [p for grid in grids.values() for p in grid.points]
+    if not points:      # no figure runs a grid: print no banner
+        return {}
+    t0 = time.time()
+    probed = _store_probes(args)
+    outcomes = run_grid(points, options=cache.options,
+                        store=cache.result_store())
+    print(f"[grid of {len(points)} runs, {_execution_label(args)}: "
+          f"{time.time() - t0:.1f}s]\n")
+    _store_banner(args, probed)
+    rows = {}
+    for name, grid in grids.items():
+        rows[name] = outcomes[:len(grid.points)]
+        outcomes = outcomes[len(grid.points):]
+    return rows
+
+
 def _run_figures(wanted, args, cache) -> tuple[int, list]:
     """Run each requested figure; returns the crashed-figure count and
     the ``(label, capture)`` pairs of the traced runs the figures that
     run their own grids made, labelled ``figure.point``."""
-    sweep_wanted = [f for f in wanted if f in _SWEEP_FIGS]
-    if sweep_wanted:
-        # run the shared sweep as one grid before the per-figure drivers
-        # read it; fig7 alone only needs the d in {4, 8} legs
-        ds = (4, 8) if sweep_wanted == ["fig7"] else (0, 4, 8)
-        t0 = time.time()
-        probed = _store_probes(args)
-        cache.prefetch(ds=ds)
-        print(f"[sweep prefetch, {_execution_label(args)}: "
-              f"{time.time() - t0:.1f}s]\n")
-        _store_banner(args, probed)
+    grids = _figure_grids(wanted, args, cache)
+    rows = _run_grid(grids, args, cache)
+    if "sweep" in grids:
+        grids.pop("sweep").finish(rows["sweep"])
     crashed = 0
     captures = []
     for name in wanted:
         t0 = time.time()
         probed = _store_probes(args)
         try:
-            result = _run_figure(name, args, cache)
+            result = _run_figure(name, args, cache, grids, rows)
         except Exception as exc:
             if args.fault_rate <= 0:
                 # say which figure died before the traceback: "all" runs
@@ -261,8 +324,8 @@ def _store_probes(args):
 
 def _store_banner(args, before) -> None:
     """Report the store traffic since ``before``, if there was any: the
-    sweep prefetch and every figure that runs a grid (fig1, fig12,
-    protocols, topology) probe the store."""
+    grid, fig2's live runs and the figures that run a grid of their own
+    (protocols, topology) probe the store."""
     if before is None:
         return
     from repro.store.result_store import SESSION_STATS
@@ -273,18 +336,17 @@ def _store_banner(args, before) -> None:
         print(f"[store {args.store}: {delta.render()}]\n")
 
 
-def _run_figure(name, args, cache):
+def _run_figure(name, args, cache, grids, rows):
+    """Build one figure: from its slice of the grid's ``rows`` when it
+    has a grid, else by running it."""
+    if name in grids:
+        return grids[name].finish(rows[name])
     if name == "table1":
         return F.table1()
     if name == "table2":
         return F.table2(args.threads)
-    if name == "fig1":
-        counts = tuple(t for t in (1, 2, 4, 8, 16, 24) if t <= args.threads)
-        return F.fig1(thread_counts=counts, seed=args.seed,
-                      options=cache.options)
     if name == "fig2":
-        return F.fig2(num_threads=args.threads, scale=args.scale,
-                      seed=args.seed, options=cache.options)
+        return F.fig2(cache)
     if name == "fig7":
         return F.fig7(cache)
     if name == "fig8":
@@ -295,9 +357,6 @@ def _run_figure(name, args, cache):
         return F.fig10(cache)
     if name == "fig11":
         return F.fig11(cache)
-    if name == "fig12":
-        return F.fig12(num_threads=args.threads, seed=args.seed,
-                       options=cache.options)
     if name == "protocols":
         return F.fig_protocols(num_threads=args.threads, seed=args.seed,
                                options=cache.options)

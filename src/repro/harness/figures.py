@@ -5,11 +5,17 @@ returns a small result object with the figure's rows/series plus a
 ``render()`` producing the text table the benchmarks and the CLI print.
 Figures 7-11 share one underlying sweep (six apps x d in {0, 4, 8}),
 which :class:`SweepCache` memoizes so regenerating all figures costs 18
-runs, not 90.
+runs, not 90.  Fig. 2 profiles the sweep's six ``d=0`` runs while their
+machines are live, and caches their rows, so the sweep does not run
+them again.  Fig. 1 and Fig. 12 run grids of their own; each is split
+into its points and the result built from their rows
+(:class:`FigureGrid`), so a caller can run several figures' points as
+one :func:`~repro.harness.parallel.run_grid` call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -20,19 +26,22 @@ from repro.common.config import default_config, table1_rows
 from repro.common.types import MessageClass
 from repro.harness.experiment import (
     DEFAULT_SCALE, DEFAULT_THREADS, RunRow, experiment_config,
-    run_workload_result,
+    row_from_result, run_workload_result,
 )
 from repro.harness.options import RunOptions
-from repro.harness.parallel import GridFailure, GridPoint, run_grid
+from repro.harness.parallel import (
+    GridFailure, GridPoint, run_grid, run_live,
+)
 from repro.harness.sweeps import (
-    SweepResult, sweep_protocols, sweep_threads, sweep_topology_scale,
+    SweepResult, sweep_protocols, sweep_topology_scale,
 )
 from repro.obs.capture import ObsCapture
 from repro.workloads.registry import PAPER_WORKLOADS, table2_rows
 
 __all__ = [
-    "SweepCache", "fig1", "fig2", "fig7", "fig8", "fig9", "fig10",
-    "fig11", "fig12", "fig_protocols", "fig_topology", "table1", "table2",
+    "FigureGrid", "SweepCache", "fig1", "fig1_grid", "fig2", "fig7",
+    "fig8", "fig9", "fig10", "fig11", "fig12", "fig12_grid",
+    "fig_protocols", "fig_topology", "table1", "table2",
 ]
 
 _APPS = list(PAPER_WORKLOADS)
@@ -48,6 +57,22 @@ def _traced(labels, rows) -> list[tuple[str, ObsCapture]]:
     ``--trace-out`` exports for a figure that runs its own grid."""
     return [(label, row.obs) for label, row in zip(labels, rows)
             if isinstance(row, RunRow) and row.obs is not None]
+
+
+@dataclass(frozen=True, slots=True)
+class FigureGrid:
+    """A figure's grid points and ``finish``, which builds the figure
+    from their outcomes (one :class:`RunRow` or :class:`GridFailure`
+    per point, in order).  A failed point fails only the figure whose
+    ``finish`` reads it."""
+
+    points: list[GridPoint]
+    finish: Callable[[list], Any]
+
+    def run(self, options: RunOptions | None = None, store=None):
+        """Run the points as one grid and finish the figure."""
+        return self.finish(run_grid(self.points, options=options,
+                                    store=store))
 
 
 def _ok(result: SweepResult, figure: str) -> SweepResult:
@@ -92,11 +117,11 @@ class SweepCache:
         self._rows: dict[tuple[str, int], RunRow | GridFailure] = {}
         self._store = None      # lazily opened ResultStore handle
 
-    def _run_kwargs(self, app: str, d: int) -> dict:
-        return dict(
-            d_distance=d, num_threads=self.num_threads,
-            scale=self.scale, seed=self.seed, options=self.options,
-        )
+    def _point(self, app: str, d: int) -> GridPoint:
+        return GridPoint(app, dict(d_distance=d, num_threads=self.num_threads,
+                                   scale=self.scale, seed=self.seed,
+                                   options=self.options),
+                         label=f"{app} d={d}")
 
     def result_store(self):
         """The lazily opened durable result store (None when disabled)."""
@@ -119,25 +144,49 @@ class SweepCache:
             raise RuntimeError(outcome.render())
         return outcome
 
+    def grid(self, apps=None, ds=_D_SWEEP) -> FigureGrid:
+        """The uncached (app, d) points of the sweep, as a grid whose
+        ``finish`` caches every outcome, :class:`GridFailure` included."""
+        keys = [(app, d) for app in (apps or _APPS) for d in ds
+                if (app, d) not in self._rows]
+        return FigureGrid([self._point(app, d) for app, d in keys],
+                          lambda outcomes: self._rows.update(
+                              zip(keys, outcomes)))
+
     def prefetch(self, apps=None, ds=_D_SWEEP) -> None:
-        """Run the uncached (app, d) points of the grid through
-        :func:`~repro.harness.parallel.run_grid` and cache every outcome,
-        :class:`GridFailure` included.
+        """Run the uncached (app, d) points through
+        :func:`~repro.harness.parallel.run_grid` and cache every outcome.
 
         With a configured result store every completed point commits as
         it lands, so a killed prefetch resumes from the committed rows.
         """
-        keys = [(app, d) for app in (apps or _APPS) for d in ds
-                if (app, d) not in self._rows]
-        if not keys:
-            return
-        points = [
-            GridPoint(app, self._run_kwargs(app, d), label=f"{app} d={d}")
-            for app, d in keys
-        ]
-        outcomes = run_grid(points, options=self.options,
-                            store=self.result_store())
-        self._rows.update(zip(keys, outcomes))
+        grid = self.grid(apps, ds)
+        if grid.points:
+            grid.run(self.options, self.result_store())
+
+    def run_live(self, d: int, inspect: Callable) -> list:
+        """Run every app's (app, d) point in this process and cache its
+        row; per app, ``inspect(result)`` of the live run, or the
+        point's :class:`GridFailure`.
+
+        The points run through :func:`~repro.harness.parallel.run_live`,
+        so they keep the grid's guard, retry and timeout, and with a
+        result store their rows commit under the sweep's own keys.  A
+        point already cached keeps its cached row.
+        """
+        def run(point: GridPoint):
+            result, cfg = run_workload_result(point.workload,
+                                              **point.kwargs)
+            return row_from_result(point.workload, result, cfg), \
+                inspect(result)
+
+        outcomes = run_live(run, [self._point(app, d) for app in _APPS],
+                            options=self.options, store=self.result_store())
+        for app, outcome in zip(_APPS, outcomes):
+            row = outcome if isinstance(outcome, GridFailure) else outcome[0]
+            self._rows.setdefault((app, d), row)
+        return [outcome if isinstance(outcome, GridFailure) else outcome[1]
+                for outcome in outcomes]
 
     def rows(self) -> dict[tuple[str, int], RunRow]:
         """Snapshot of every cached (app, d) -> RunRow (for exporters)."""
@@ -204,30 +253,48 @@ class Fig1Result:
                               "privatized (Listing 2)"], rows))
 
 
+#: Fig. 1's two listings: (workload, workload kwargs)
+_FIG1_LISTINGS = (("bad_dot_product", {"approximate": False}),
+                  ("private_dot_product", {}))
+
+
+def fig1_grid(thread_counts=(1, 2, 4, 8, 16, 24), n_points: int = 4096,
+              seed: int = 12345,
+              options: RunOptions | None = None) -> FigureGrid:
+    """Fig. 1 as a grid: each listing at every thread count, on the
+    precise machine (``d_distance=0``) that ``options`` shapes."""
+    opts = options if options is not None else RunOptions()
+    counts = list(thread_counts)
+    points = [
+        GridPoint(name, dict(d_distance=0, num_threads=t, scale=1.0,
+                             seed=seed, n_points=n_points, options=opts,
+                             **kwargs),
+                  label=f"{name}.threads={t}")
+        for name, kwargs in _FIG1_LISTINGS for t in counts
+    ]
+
+    def finish(outcomes: list) -> Fig1Result:
+        # one thread sweep per listing, in _FIG1_LISTINGS order
+        speedups = [
+            _ok(SweepResult("threads", tuple(counts),
+                            tuple(outcomes[i:i + len(counts)])),
+                "fig1").speedups_vs_first()
+            for i in range(0, len(outcomes), len(counts))
+        ]
+        return Fig1Result(counts, *speedups, _base_name(opts.protocol),
+                          _traced((p.label for p in points), outcomes))
+    return FigureGrid(points, finish)
+
+
 def fig1(thread_counts=(1, 2, 4, 8, 16, 24), n_points: int = 4096,
          seed: int = 12345, options: RunOptions | None = None) -> Fig1Result:
     """Run the Listing-1/Listing-2 thread sweep on the precise machine.
 
-    Each listing is one :func:`~repro.harness.sweeps.sweep_threads`
-    grid at ``d_distance=0``, so ``options`` shapes the machine
-    (protocol, topology, checks, faults) and says how the grid runs
-    (workers, backend, result store, resume).
+    Both listings run as one :func:`fig1_grid`, so ``options`` shapes
+    the machine (protocol, topology, checks, faults) and says how the
+    grid runs (workers, backend, result store, resume).
     """
-    captures: list = []
-
-    def speedups(name: str, **kwargs) -> list[float]:
-        result = sweep_threads(name, thread_counts, d_distance=0, scale=1.0,
-                               seed=seed, options=options,
-                               n_points=n_points, **kwargs)
-        captures.extend(_traced((f"{name}.threads={t}" for t in result.values),
-                                result.rows))
-        return _ok(result, "fig1").speedups_vs_first()
-
-    protocol = (options or RunOptions()).protocol
-    return Fig1Result(list(thread_counts),
-                      speedups("bad_dot_product", approximate=False),
-                      speedups("private_dot_product"),
-                      _base_name(protocol), captures)
+    return fig1_grid(thread_counts, n_points, seed, options).run(options)
 
 
 # ---------------------------------------------------------------------
@@ -258,25 +325,29 @@ class Fig2Result:
         ]))
 
 
-def fig2(num_threads: int = DEFAULT_THREADS, scale: float = DEFAULT_SCALE,
+def fig2(cache: SweepCache | None = None, *,
+         num_threads: int = DEFAULT_THREADS, scale: float = DEFAULT_SCALE,
          seed: int = 12345, options: RunOptions | None = None) -> Fig2Result:
     """Profile store-value similarity over every Table 2 app.
 
-    Each app runs once on the precise machine (``d_distance=0``) under
-    ``options``.  The profile is read from the live machine, so these
-    runs take no worker pool or result store; each machine is freed
-    before the next app's is built.
+    Each app's profile is read from the live machine of its ``d=0``
+    sweep point, so these six points always run in this process, one
+    machine at a time (:meth:`SweepCache.run_live`), even when the
+    cache's result store holds them.  Their rows land in ``cache``, so
+    the sweep figures do not run them again.  Without a ``cache`` one
+    is built from the keyword arguments.
     """
+    if cache is None:
+        cache = SweepCache(num_threads, scale, seed, options)
+    hists = cache.run_live(
+        0, lambda result: machine_store_histogram(result.machine))
     profiles: dict[str, SimilarityProfile] = {}
     suites: dict[str, list[str]] = {}
     captures = []
-    for app, cls in PAPER_WORKLOADS.items():
-        result, _cfg = run_workload_result(
-            app, d_distance=0, num_threads=num_threads, scale=scale,
-            seed=seed, options=options)
-        hist = machine_store_histogram(result.machine)
-        capture = ObsCapture.from_machine(result.machine)
-        del result
+    for (app, cls), hist in zip(PAPER_WORKLOADS.items(), hists):
+        if isinstance(hist, GridFailure):
+            raise RuntimeError(f"fig2 point failed: {hist.render()}")
+        capture = cache.row(app, 0).obs
         if capture is not None:
             captures.append((app, capture))
         profiles[app] = SimilarityProfile(app, hist)
@@ -534,14 +605,11 @@ class Fig12Result:
                      "output error MPE (%)"], rows))
 
 
-def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
-          n_points: int = 4096, seed: int = 12345,
-          options: RunOptions | None = None) -> Fig12Result:
-    """GI-timeout sensitivity sweep on the Listing-1 microbenchmark.
-
-    ``options`` says how the underlying grid runs (workers, backend,
-    result store, resume, per-point retry/timeout).
-    """
+def fig12_grid(timeouts=(128, 512, 1024),
+               num_threads: int = DEFAULT_THREADS, n_points: int = 4096,
+               seed: int = 12345,
+               options: RunOptions | None = None) -> FigureGrid:
+    """Fig. 12 as a grid: one Listing-1 run per GI timeout at d=4."""
     opts = options if options is not None else RunOptions()
     points = [
         GridPoint("bad_dot_product",
@@ -551,14 +619,28 @@ def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
                   label=f"gi_timeout={timeout}")
         for timeout in timeouts
     ]
-    rows = run_grid(points, options=opts)
-    for row in rows:
-        if isinstance(row, GridFailure):
-            raise RuntimeError(f"fig12 point failed: {row.render()}")
-    return Fig12Result(list(timeouts),
-                       [row.gi_serviced_pct for row in rows],
-                       [row.error_pct for row in rows],
-                       _traced((p.label for p in points), rows))
+
+    def finish(rows: list) -> Fig12Result:
+        for row in rows:
+            if isinstance(row, GridFailure):
+                raise RuntimeError(f"fig12 point failed: {row.render()}")
+        return Fig12Result(list(timeouts),
+                           [row.gi_serviced_pct for row in rows],
+                           [row.error_pct for row in rows],
+                           _traced((p.label for p in points), rows))
+    return FigureGrid(points, finish)
+
+
+def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
+          n_points: int = 4096, seed: int = 12345,
+          options: RunOptions | None = None) -> Fig12Result:
+    """GI-timeout sensitivity sweep on the Listing-1 microbenchmark.
+
+    ``options`` says how the underlying grid runs (workers, backend,
+    result store, resume, per-point retry/timeout).
+    """
+    return fig12_grid(timeouts, num_threads, n_points, seed,
+                      options).run(options)
 
 
 # ---------------------------------------------------------------------

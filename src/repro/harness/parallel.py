@@ -45,7 +45,9 @@ Design points:
 count, backend, retry budget, result store — comes from its
 :class:`~repro.harness.options.RunOptions` alone.  ``jobs=1`` executes
 inline in the calling process (no child processes, no pickling) and is
-the reference path the parallel path is tested against.
+the reference path the parallel path is tested against.  :func:`run_live`
+is that inline path for a caller that must inspect each live machine
+before it is freed (Fig. 2's store histograms).
 """
 from __future__ import annotations
 
@@ -72,6 +74,7 @@ __all__ = [
     "derive_seed",
     "fan_out",
     "run_grid",
+    "run_live",
 ]
 
 #: modulus for derived seeds: keep them positive 31-bit ints so every
@@ -613,3 +616,36 @@ def _run_grid_stored(points: list[GridPoint], options: RunOptions,
                 outcome = dataclasses.replace(outcome, index=i)
             results[i] = outcome
     return results
+
+
+def run_live(fn: Callable[[GridPoint], tuple[RunRow, Any]],
+             points: Sequence[GridPoint], *, options: RunOptions,
+             store: Any | None = None
+             ) -> list[tuple[RunRow, Any] | GridFailure]:
+    """Run every point in this process, as :func:`fan_out` at ``jobs=1``
+    does (guard, retry, timeout), where ``fn(point)`` returns the
+    point's row and whatever else it read from the live machine.
+
+    Unlike :func:`run_grid`, a point the ``store`` holds still runs,
+    because its caller needs the machine.  The store is probed as
+    :func:`run_grid` probes it, so a warm run counts its hits, and a
+    row commits under the point's key only when the probe missed.
+    """
+    points = list(points)
+    keys: list[str] = []
+    held: list[bool] = []
+    if store is not None:
+        from repro.store import point_key
+
+        keys = [point_key(p.workload, p.kwargs) for p in points]
+        held = [options.resume and not _point_traced(p)
+                and store.get(key) is not None
+                for p, key in zip(points, keys)]
+
+    def commit(index: int, outcome: Any) -> None:
+        if store is not None and not held[index]:
+            row = outcome if isinstance(outcome, GridFailure) else outcome[0]
+            _commit(store, keys[index], points[index], row)
+
+    return fan_out(fn, points, retry=retry_from_options(options),
+                   on_result=commit)

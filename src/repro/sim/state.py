@@ -407,8 +407,10 @@ def main(argv=None) -> int:
     checkpointing and save the last safe-point checkpoint."""
     from dataclasses import replace
 
+    from repro.coherence.policy import available_protocols
     from repro.harness.experiment import experiment_config
     from repro.harness.options import RunOptions
+    from repro.noc.topologies import available_topologies
     from repro.workloads.registry import create
 
     ap = argparse.ArgumentParser(
@@ -422,8 +424,10 @@ def main(argv=None) -> int:
     ap.add_argument("--scale", type=float, default=0.25)
     ap.add_argument("--seed", type=int, default=12345)
     ap.add_argument("--checkpoint-period", type=int, default=50_000)
-    ap.add_argument("--protocol", default="ghostwriter")
-    ap.add_argument("--topology", default="mesh")
+    ap.add_argument("--protocol", choices=available_protocols(),
+                    default="ghostwriter")
+    ap.add_argument("--topology", choices=available_topologies(),
+                    default="mesh")
     args = ap.parse_args(argv)
 
     cfg = experiment_config(

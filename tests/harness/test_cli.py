@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.harness.cli import main
+from repro.workloads.base import Workload
 from repro.workloads.registry import PAPER_WORKLOADS
 from repro.obs.timeline import load_merged
 
@@ -35,6 +36,31 @@ class TestCli:
         # pstats writes its report to stderr, sorted by cumulative time
         assert "cumulative" in captured.err
         assert "function calls" in captured.err
+
+    def test_profile_covers_the_simulations(self, capsys):
+        # without --jobs a profiled run is serial, so the profile shows
+        # the simulations, not a supervisor waiting on worker pipes
+        assert main(["fig12", "--threads", "2", "--profile", "30"]) == 0
+        assert re.search(r"engine\.py:\d+\(run\)", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags,checked", [
+        ([], "True"), (["--no-check-invariants"], "False"),
+    ])
+    def test_worker_runs_keep_invariant_checks(self, monkeypatch, tmp_path,
+                                               flags, checked):
+        # forked workers inherit the spy; each appends its own line
+        log = tmp_path / "checks.txt"
+        collect = Workload.collect
+
+        def spy(self, machine, cfg):
+            with open(log, "a") as f:
+                f.write(f"{cfg.verify.check_invariants}\n")
+            return collect(self, machine, cfg)
+
+        monkeypatch.setattr(Workload, "collect", spy)
+        assert main(["all", "--threads", "2", "--scale", "0.05",
+                     "--jobs", "2", *flags]) == 0
+        assert log.read_text().split() == [checked] * 25
 
     def test_negative_profile_rejected(self):
         with pytest.raises(SystemExit):
@@ -85,12 +111,13 @@ class TestCli:
                                                      label):
         assert main(["fig7", "--threads", "2", "--scale", "0.05",
                      *flags]) == 0
+        # the banner of the one grid every figure's points run in
         banners = [line for line in capsys.readouterr().out.splitlines()
-                   if line.startswith("[sweep prefetch")]
+                   if line.startswith("[grid")]
         assert len(banners) == 1
         # CI strips timing banners from its --jobs diff by this pattern
         assert re.fullmatch(r"\[.*[0-9]s\]", banners[0])
-        assert banners[0].startswith(f"[sweep prefetch, {label}: ")
+        assert banners[0].startswith(f"[grid of 12 runs, {label}: ")
 
     def test_backend_batch_rejects_jobs(self):
         with pytest.raises(SystemExit):

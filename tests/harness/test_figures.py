@@ -112,6 +112,36 @@ class TestFig2:
                options=RunOptions(check_invariants=False))
         assert collected == [(False, "mesi")] * len(F.PAPER_WORKLOADS)
 
+    def test_live_runs_are_the_sweep_d0_rows(self, collected):
+        cache = F.SweepCache(num_threads=2, scale=0.05, seed=99)
+        F.fig2(cache)
+        assert len(collected) == len(F.PAPER_WORKLOADS)
+        # the sweep reads fig2's rows instead of running its d=0 points
+        for app in F.PAPER_WORKLOADS:
+            assert cache.row(app, 0) == run_workload(
+                app, d_distance=0, num_threads=2, scale=0.05, seed=99)
+        assert len(collected) == 2 * len(F.PAPER_WORKLOADS)
+
+    def test_all_runs_each_simulation_once(self, monkeypatch):
+        from repro.harness.cli import main
+
+        seen = []
+        collect = Workload.collect
+
+        def spy(self, machine, cfg):
+            seen.append((self.name, cfg.ghostwriter.d_distance,
+                         cfg.ghostwriter.gi_timeout, cfg.num_cores))
+            return collect(self, machine, cfg)
+
+        monkeypatch.setattr(Workload, "collect", spy)
+        assert main(["all", "--threads", "2", "--scale", "0.05",
+                     "--jobs", "1"]) == 0
+        # the sweep's 12 d>0 points, fig2's six d=0 runs (which are the
+        # sweep's d=0 rows), fig1's 2 listings x 2 thread counts, and
+        # fig12's 3 timeouts: each simulated once
+        assert len(seen) == 12 + 6 + 4 + 3
+        assert len(set(seen)) == len(seen)
+
 
 class TestSweepFigures:
     def test_fig7_shapes(self, cache):

@@ -348,6 +348,15 @@ class TestCli:
         loaded = MachineCheckpoint.load(path)
         assert loaded.cycle > 0 and loaded.fingerprint
 
+    @pytest.mark.parametrize("flag", ["--protocol", "--topology"])
+    def test_unknown_choice_is_a_usage_error(self, tmp_path, capsys, flag):
+        from repro.sim.state import main
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "bad_dot_product", "--dump-checkpoint",
+                  str(tmp_path / "ckpt.npz"), flag, "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestPersistence:
     @pytest.mark.parametrize("name", ["ckpt.pkl", "ckpt.npz"])

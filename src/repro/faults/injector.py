@@ -2,11 +2,13 @@
 
 Three mechanisms, all deterministic given ``FaultConfig.seed``:
 
-* **Cache-resident flips** — a periodic event (every ``_FLIP_PERIOD``
-  cycles, so the injector never stretches the event queue past the end of
-  real work) injects a fault with probability ``cache_rate * period /
-  1e6``, picking a uniformly random valid, stable, non-invalid L1 line
-  and flipping ``bits`` random bits of one random word.
+* **Cache-resident flips** — a periodic event registered with the
+  machine (tag ``("flip_lottery",)``, every ``_FLIP_PERIOD`` cycles
+  while cores are unfinished, so the injector never stretches the event
+  queue past the end of real work) injects a fault with probability
+  ``cache_rate * period / 1e6``, picking a uniformly random valid,
+  stable, non-invalid L1 line and flipping ``bits`` random bits of one
+  random word.
 * **NoC payload flips** — each data-carrying message is corrupted with
   probability ``msg_rate`` (the payload is copied first, so the sender's
   SRAM copy is untouched — only the wire is noisy).
@@ -38,8 +40,9 @@ _FLIP_PERIOD = 256
 
 class FaultInjector:
     """Injects the faults described by a :class:`FaultConfig` into one
-    machine.  Construct with the machine, then :meth:`start` from
-    ``Machine.run``."""
+    machine: construction hooks the network and registers the cache-flip
+    lottery, so a machine restored from a checkpoint injects exactly as
+    the uninterrupted run does."""
 
     def __init__(self, machine, cfg: FaultConfig) -> None:
         self.machine = machine
@@ -48,16 +51,11 @@ class FaultInjector:
         self.stats = machine.stats.child("faults")
         #: (cycle, where, block, word, mask) of every injected flip
         self.log: list[tuple[int, str, int, int, int]] = []
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Hook the network and arm the cache-flip lottery."""
-        if self.cfg.msg_rate or self.cfg.delay_jitter:
-            self.machine.network.fault_hook = self._on_message
-        if self.cfg.cache_rate:
-            self.machine.engine.schedule_tagged(
-                _FLIP_PERIOD, self._flip_lottery, ("flip_lottery",)
-            )
+        if cfg.msg_rate or cfg.delay_jitter:
+            machine.network.fault_hook = self._on_message
+        if cfg.cache_rate:
+            machine.register(("flip_lottery",), self._flip_lottery,
+                             _FLIP_PERIOD)
 
     # ------------------------------------------------------------------
     # checkpoint layer
@@ -80,13 +78,6 @@ class FaultInjector:
         while p > 0 and self.rng.random() < min(p, 1.0):
             self.inject_cache_flip()
             p -= 1.0
-        # reschedule only while cores are unfinished: keying on the event
-        # queue instead would let two periodic services (e.g. monitor +
-        # fault lottery) keep each other alive forever
-        if any(c is not None and not c.done for c in self.machine.cores):
-            self.machine.engine.schedule_tagged(
-                _FLIP_PERIOD, self._flip_lottery, ("flip_lottery",)
-            )
 
     def inject_cache_flip(self) -> tuple[int, int, int] | None:
         """Flip bits in one random resident L1 word.

@@ -190,6 +190,16 @@ def main(argv: list[str] | None = None) -> int:
                    metavar="SEC",
                    help="wall-clock budget per cell, seconds (0 = none)")
     args = p.parse_args(argv)
+    for flag, value, low in (("--threads", args.threads, 1),
+                             ("--seeds-per-cell", args.seeds_per_cell, 1),
+                             ("--jobs", args.jobs, 1),
+                             ("--retries", args.retries, 0),
+                             ("--point-timeout", args.point_timeout, 0),
+                             ("--rates", min(args.rates), 0)):
+        if value < low:
+            p.error(f"{flag} must be >= {low}, got {value:g}")
+    if args.scale <= 0:
+        p.error(f"--scale must be > 0, got {args.scale:g}")
 
     t0 = time.time()
     result = fault_sweep(

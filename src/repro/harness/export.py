@@ -86,6 +86,17 @@ def records_for(name: str, result: Any) -> list[dict[str, Any]]:
              "gi_serviced_pct": row.gi_serviced_pct}
             for p, row in zip(result.protocols, result.rows)
         ]
+    if name == "topology":
+        return [
+            {"topology": t, "cores": c, "dir_hops": h, "cycles": r.cycles,
+             "gs_serviced_pct": r.gs_serviced_pct,
+             "gi_serviced_pct": r.gi_serviced_pct,
+             "gi_flashes_per_kcycle": r.gi_flashes_per_kcycle,
+             "flit_hops": r.flit_hops, "hops_per_flit": r.hops_per_flit,
+             "error_pct": r.error_pct}
+            for (t, c), h, r in zip(result.points, result.dir_hops,
+                                    result.rows)
+        ]
     raise KeyError(f"no exporter for {name!r}")
 
 

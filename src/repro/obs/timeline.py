@@ -124,10 +124,10 @@ def load_merged(path: str | Path) -> dict[str, Timeline]:
 class MetricsTimeline:
     """Live periodic sampler bound to one machine.
 
-    Follows the invariant monitor's scheduling pattern: armed by
-    ``Machine.run``, reschedules itself only while cores are unfinished,
-    and takes one final sample when the run completes so short runs
-    still produce at least one row.
+    Registers itself with the machine as a periodic event (tag
+    ``("timeline",)``, re-armed while cores are unfinished), and takes
+    one final sample when the run completes so short runs still produce
+    at least one row.
     """
 
     def __init__(self, machine, interval: int) -> None:
@@ -136,21 +136,10 @@ class MetricsTimeline:
         self.machine = machine
         self.interval = interval
         self._rows: list[dict[str, float]] = []
+        machine.register(("timeline",), self.sample, interval)
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    # -- scheduling ----------------------------------------------------
-    def start(self) -> None:
-        """Arm the periodic sampler (called by ``Machine.run``)."""
-        self.machine.engine.schedule_tagged(self.interval, self._fire,
-                                            ("timeline",))
-
-    def _fire(self) -> None:
-        self.sample()
-        if any(c is not None and not c.done for c in self.machine.cores):
-            self.machine.engine.schedule_tagged(self.interval, self._fire,
-                                                ("timeline",))
 
     # -- checkpoint layer ----------------------------------------------
     def snapshot(self) -> dict:

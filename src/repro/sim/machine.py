@@ -11,24 +11,33 @@ messages by type: requests/responses addressed to the home go to the
 agent, everything else to the L1.  The two message sets are disjoint by
 construction.
 
+Restorable events: every event that can sit in the queue at a
+checkpoint safe point is registered once, at construction, in the
+machine's tag table (:attr:`Machine.tags`): core steps when a thread is
+bound, L1 GI timers when the L1s are built, and the periodic services
+(invariant monitor, watchdog, fault injector's cache-flip lottery,
+metrics timeline) when each is built.  :meth:`Machine.run` arms the
+periodic entries; checkpoint restore resolves every tag through the
+same table, so a restored machine and a fresh one share one wiring.
+
 Lifetime: a machine is freed by reference counting as soon as its last
 user drops it — built, run or failed — never left for the cyclic
 collector.  Nothing the machine owns holds it strongly: the periodic
-components (invariant monitor, watchdog, fault injector, metrics
-timeline) get a weak proxy of it, and the network's endpoint handlers
-a weak proxy of the controllers they deliver to (the controllers hold
-the network).  The engine's timeout hook, which must point back while
-events run, is run-scoped: released when :meth:`Machine.run` or
-:meth:`Machine.resume` returns or raises.  A run that raises also
-drops its pending work — queued events, MSHR completions, directory
-transactions, sync waiters — whose continuations point back into the
-machine's parts.
+services get a weak proxy of it, the tag table's callbacks reach only
+the engine, the cores list and the components, and the network's
+endpoint handlers a weak proxy of the controllers they deliver to (the
+controllers hold the network).  The engine's timeout hook, which must
+point back while events run, is run-scoped: released when
+:meth:`Machine.run` or :meth:`Machine.resume` returns or raises.  A run
+that raises also drops its pending work — queued events, MSHR
+completions, directory transactions, sync waiters — whose
+continuations point back into the machine's parts.
 """
 from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.cache.l1 import L1Controller
 from repro.cache.l2 import L2Slice
@@ -68,6 +77,30 @@ def machine_hook(fn):
         yield fn
     finally:
         _CONSTRUCTION_HOOKS.remove(fn)
+
+
+class _Rearming:
+    """``fire``, re-armed ``period`` cycles later while any core is
+    unfinished.  Keying on the cores, not the event queue, keeps two
+    periodic services from holding each other alive forever.  An object,
+    not a closure: a closure that schedules itself holds itself in a
+    cell, a cycle that would keep the engine and cores alive."""
+
+    __slots__ = ("engine", "cores", "tag", "period", "fire")
+
+    def __init__(self, engine: Engine, cores: list, tag: tuple,
+                 period: int, fire: Callable[[], None]) -> None:
+        self.engine = engine
+        self.cores = cores
+        self.tag = tag
+        self.period = period
+        self.fire = fire
+
+    def __call__(self) -> None:
+        self.fire()
+        if any(c is not None and not c.done for c in self.cores):
+            self.engine.schedule_tagged(self.period, self, self.tag)
+
 
 _DIRECTORY_TYPES = frozenset(
     {
@@ -121,6 +154,12 @@ class Machine:
             for node in range(cfg.num_cores)
         ]
         self.cores: list[Core | None] = [None] * cfg.num_cores
+        #: restorable event tag -> (callback, period or None), in
+        #: registration order (see :meth:`register` and the module
+        #: docstring)
+        self.tags: dict[tuple, tuple[Callable[[], None], int | None]] = {}
+        for l1 in self.l1s:
+            self.register(("gi_timer", l1.node), l1._gi_timeout_fire)
         # creation-order sync-object tables: compiled programs reference
         # barriers/locks as ("kind", creation index), which these resolve
         # (creation order is deterministic for a given workload build)
@@ -160,6 +199,12 @@ class Machine:
                 bus.subscribe(self.flight.record)
         if obs.timeline_interval:
             self.timeline = MetricsTimeline(me, obs.timeline_interval)
+        #: the services whose state a checkpoint carries, by blob key
+        self.services = {
+            name: svc for name in ("monitor", "watchdog", "injector",
+                                   "timeline")
+            if (svc := getattr(self, name)) is not None
+        }
         # checkpoint layer (off by default; see VerifyConfig)
         self.checkpoint_recorder = None
         if cfg.verify.checkpoint_period:
@@ -193,6 +238,21 @@ class Machine:
         return self.bus
 
     # ------------------------------------------------------------------
+    def register(self, tag: tuple, callback: Callable[[], None],
+                 period: int | None = None) -> None:
+        """Enter a restorable event in the tag table.
+
+        ``callback`` is what an event tagged ``tag`` runs, both when
+        scheduled live and when a checkpoint's queue is restored.  With a
+        ``period``, :meth:`run` arms the event ``period`` cycles in, and
+        each firing re-arms it while any core is unfinished.  The entry
+        must not hold the machine strongly (see the module docstring).
+        """
+        if period is not None:
+            callback = _Rearming(self.engine, self.cores, tag, period,
+                                 callback)
+        self.tags[tag] = (callback, period)
+
     def _make_endpoint(self, node: int):
         # weak proxies: the network holds this handler, and a controller
         # holding the network must not be held back by it (see the
@@ -248,6 +308,7 @@ class Machine:
             record=self.checkpoint_recorder is not None,
         )
         self.cores[core_id] = core
+        self.register(core._step_tag, core._step)
         return core
 
     def barrier(self, parties: int) -> Barrier:
@@ -266,7 +327,8 @@ class Machine:
     # execution
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 500_000_000) -> int:
-        """Start every bound core and drain the event queue.
+        """Arm every periodic event of the tag table, in registration
+        order, start every bound core and drain the event queue.
 
         Returns the cycle at which the last event executed.  Raises if a
         core never finished (protocol deadlock or malformed program).
@@ -282,14 +344,9 @@ class Machine:
         active = [c for c in self.cores if c is not None]
         if not active:
             raise SimulationError("no thread programs bound")
-        if self.monitor is not None:
-            self.monitor.start()
-        if self.watchdog is not None:
-            self.watchdog.start()
-        if self.injector is not None:
-            self.injector.start()
-        if self.timeline is not None:
-            self.timeline.start()
+        for tag, (callback, period) in self.tags.items():
+            if period is not None:
+                self.engine.schedule_tagged(period, callback, tag)
         for core in active:
             core.start()
         return self._execute(active, max_cycles)
@@ -297,10 +354,12 @@ class Machine:
     def resume(self, max_cycles: int = 500_000_000) -> int:
         """Drain the queue of a machine re-animated from a checkpoint.
 
-        The restored event queue already carries every pending service
-        and core-step event, so unlike :meth:`run` nothing is started —
-        execution simply continues from the checkpoint cycle.  Callable
-        exactly once, in place of :meth:`run`.
+        The restored event queue already carries every pending event,
+        each resolved through the same tag table :meth:`run` arms from,
+        and every other service wiring (the NoC fault hook, the monitor's
+        commit hook) was made at construction, so nothing is armed or
+        started here: execution continues from the checkpoint cycle.
+        Callable exactly once, in place of :meth:`run`.
         """
         if self._ran:
             raise SimulationError(

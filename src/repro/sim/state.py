@@ -22,6 +22,10 @@ Any component that is mid-transaction raises
 boundary", never as an error.  Untagged events *block* capture by
 construction, so a newly added periodic service that forgets to tag
 itself degrades checkpointing gracefully instead of corrupting it.
+Restore resolves each queued tag through the machine's own tag table
+(``Machine.tags``), filled at construction by every site that
+schedules a tag, and carries the state of each service in the
+machine's service table (``Machine.services``).
 
 **Fingerprints.**  Each checkpoint is stamped with a BLAKE2b digest of
 the machine's observable state (every counter, the backing-memory image,
@@ -114,63 +118,9 @@ def machine_fingerprint(machine) -> str:
     return h.hexdigest()
 
 
-# ----------------------------------------------------------------------
-# tag resolution
-# ----------------------------------------------------------------------
-def _resolve_tag(machine, tag: tuple):
-    """Map a restorable event tag back to a live callback on ``machine``.
-
-    The tag inventory (one entry per ``schedule_tagged`` call site):
-
-    ========================  =========================================
-    ``("core_step", cid)``    ``machine.cores[cid]._step``
-    ``("gi_timer", node)``    ``machine.l1s[node]._gi_timeout_fire``
-    ``("monitor",)``          ``machine.monitor._fire``
-    ``("watchdog",)``         ``machine.watchdog._fire``
-    ``("timeline",)``         ``machine.timeline._fire``
-    ``("flip_lottery",)``     ``machine.injector._flip_lottery``
-    ========================  =========================================
-    """
-    kind = tag[0]
-    if kind == "core_step":
-        core = machine.cores[tag[1]]
-        if core is None:
-            raise ValueError(f"checkpoint event for unbound core {tag[1]}")
-        return core._step
-    if kind == "gi_timer":
-        return machine.l1s[tag[1]]._gi_timeout_fire
-    if kind == "monitor":
-        if machine.monitor is None:
-            raise ValueError("checkpoint has monitor events but the "
-                             "machine has no invariant monitor")
-        return machine.monitor._fire
-    if kind == "watchdog":
-        if machine.watchdog is None:
-            raise ValueError("checkpoint has watchdog events but the "
-                             "machine has no watchdog")
-        return machine.watchdog._fire
-    if kind == "timeline":
-        if machine.timeline is None:
-            raise ValueError("checkpoint has timeline events but the "
-                             "machine has no metrics timeline")
-        return machine.timeline._fire
-    if kind == "flip_lottery":
-        if machine.injector is None:
-            raise ValueError("checkpoint has fault-lottery events but "
-                             "the machine has no fault injector")
-        return machine.injector._flip_lottery
-    raise ValueError(f"unknown checkpoint event tag {tag!r}")
-
-
-#: optional per-service components, in capture order: (blob key,
-#: machine attribute).  Presence must match between checkpoint and
-#: machine — a config mismatch fails loudly at restore time.
-_OPTIONAL_SERVICES = (
-    ("monitor", "monitor"),
-    ("watchdog", "watchdog"),
-    ("injector", "injector"),
-    ("timeline", "timeline"),
-)
+#: the layers every checkpoint has; the others are its services
+_LAYERS = frozenset({"engine", "l1s", "dirs", "l2", "dram", "memory",
+                     "cores", "barriers", "locks", "stats"})
 
 
 # ----------------------------------------------------------------------
@@ -227,10 +177,8 @@ class MachineCheckpoint:
             "locks": [lk.snapshot() for lk in machine._locks],
             "stats": machine.stats.snapshot(),
         }
-        for key, attr in _OPTIONAL_SERVICES:
-            component = getattr(machine, attr)
-            if component is not None:
-                blob[key] = component.snapshot()
+        for key, service in machine.services.items():
+            blob[key] = service.snapshot()
         return cls(
             cycle=machine.engine.now,
             fingerprint=machine_fingerprint(machine),
@@ -250,12 +198,15 @@ class MachineCheckpoint:
         against the captured one.
         """
         blob = self.blob
-        if "network" in blob:
-            # older checkpoints kept the NoC class counts outside the
-            # stats tree: resuming one would restart them at zero
+        services = set(blob) - _LAYERS
+        if services != set(machine.services):
+            # an older format kept the NoC class counts in a 'network'
+            # layer, outside the stats tree: resuming one would restart
+            # them at zero
             raise ValueError(
-                "checkpoint has a 'network' layer (an older format whose "
-                "NoC class counts are not in its stats tree)")
+                f"checkpoint services {sorted(services)} != machine "
+                f"services {sorted(machine.services)} (different verify/"
+                "faults/obs config, or an older format?)")
         if len(blob["l1s"]) != len(machine.l1s):
             raise ValueError(
                 f"checkpoint has {len(blob['l1s'])} L1s, "
@@ -275,11 +226,6 @@ class MachineCheckpoint:
                 or len(blob["locks"]) != len(machine._locks)):
             raise ValueError("checkpoint/machine sync-object mismatch "
                              "(different workload build?)")
-        for key, attr in _OPTIONAL_SERVICES:
-            if (key in blob) != (getattr(machine, attr) is not None):
-                raise ValueError(
-                    f"checkpoint/machine {key} presence mismatch "
-                    "(different verify/faults/obs config?)")
 
         for l1, sub in zip(machine.l1s, blob["l1s"]):
             l1.restore(sub)
@@ -300,13 +246,17 @@ class MachineCheckpoint:
         for lock, sub in zip(machine._locks, blob["locks"]):
             lock.restore(sub, wake_for)
         machine.stats.restore(blob["stats"])
-        for key, attr in _OPTIONAL_SERVICES:
-            if key in blob:
-                getattr(machine, attr).restore(blob[key])
-        # the engine goes last: tag resolution needs every component
-        # above already re-animated (core _step closures, GI timers)
-        machine.engine.restore(
-            blob["engine"], lambda tag: _resolve_tag(machine, tag))
+        for key, service in machine.services.items():
+            service.restore(blob[key])
+
+        def resolve(tag: tuple):
+            entry = machine.tags.get(tag)
+            if entry is None:
+                raise ValueError(f"checkpoint event tag {tag!r} is not "
+                                 "registered on this machine")
+            return entry[0]
+
+        machine.engine.restore(blob["engine"], resolve)
 
         if verify:
             got = machine_fingerprint(machine)

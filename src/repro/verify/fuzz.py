@@ -46,6 +46,7 @@ from repro.isa.instructions import (
     Compute, FlushApprox, Load, Scribble, SetAprx, Store,
 )
 from repro.sim.machine import Machine
+from repro.sim.state import fingerprint_payload
 
 __all__ = [
     "FuzzTrace", "FuzzFailure", "approx_drops",
@@ -293,17 +294,6 @@ def run_trace(trace: FuzzTrace, *, protocol: str = "ghostwriter",
 BATCH_LANE_DS = (4, 6, 8, 12, 14)
 
 
-def _machine_fingerprint(machine: Machine) -> dict:
-    """Complete observable state of a finished machine: every counter,
-    the backing-memory image, and each L1's canonical array snapshot —
-    the checkpoint layer's :func:`~repro.sim.state.fingerprint_payload`,
-    which is the one definition of "observable state" shared by the
-    fuzzer, the round-trip tests, and ``MachineCheckpoint``."""
-    from repro.sim.state import fingerprint_payload
-
-    return fingerprint_payload(machine)
-
-
 def _assert_identical(label: str, what: str, ref: dict, got: dict) -> None:
     """Raise a :class:`FuzzFailure` naming every fingerprint key on
     which ``got`` differs from ``ref``."""
@@ -371,10 +361,10 @@ def run_differential(trace: FuzzTrace, *, protocol: str, gw: bool,
         whether that lane would share.  Each lane predicted to share is
         re-run serially and must be **bit-identical** to the
         representative in every counter, backing word and cache line
-        (:func:`_machine_fingerprint`).  Lanes predicted to peel are
-        exactly the lanes the batch backend runs through the ordinary
-        interpreter, so there is nothing to verify for them.  Returns
-        ``{"shared": ..., "peeled": ..., "checks": ...}``.
+        (:func:`~repro.sim.state.fingerprint_payload`).  Lanes predicted
+        to peel are exactly the lanes the batch backend runs through the
+        ordinary interpreter, so there is nothing to verify for them.
+        Returns ``{"shared": ..., "peeled": ..., "checks": ...}``.
     ``"fastlane"``
         The hit-run fast lane (:mod:`repro.core.hitrun`): the trace is
         lowered to compiled programs (the only form the lane executes)
@@ -410,13 +400,13 @@ def run_differential(trace: FuzzTrace, *, protocol: str, gw: bool,
                              protocol=protocol, gw=gw, jitter=jitter)
             shared += 1
             if rep_print is None:
-                rep_print = _machine_fingerprint(rep)
+                rep_print = fingerprint_payload(rep)
             _assert_identical(
                 label,
                 f"lane d={d}, predicted to share with the "
                 f"d={trace.d_distance} representative "
                 f"({len(dtrace)} swept checks),",
-                rep_print, _machine_fingerprint(lane),
+                rep_print, fingerprint_payload(lane),
             )
         return {"shared": shared, "peeled": peeled, "checks": len(dtrace)}
 
@@ -435,7 +425,7 @@ def run_differential(trace: FuzzTrace, *, protocol: str, gw: bool,
                     m.add_thread(tid, _lower_fuzz_core(core_ops,
                                                        trace.d_distance))
                 _run_checked(m, f"{label} fast_lane={lane}", _MAX_CYCLES)
-                payload = _machine_fingerprint(m)
+                payload = fingerprint_payload(m)
                 payload["engine"] = (m.engine.now, m.engine.events_executed)
                 prints[lane] = payload
         finally:

@@ -15,8 +15,10 @@ does not apply.  This module provides:
   SWMR, so the whole block is recorded.  Blocks never conventionally
   written fall back to the functional backing store (which holds the
   workload's initial data).
-* :class:`InvariantMonitor` — fires every ``monitor_period`` cycles,
-  skips blocks with in-flight activity (transient L1 states, write-back
+* :class:`InvariantMonitor` — registers itself with the machine as a
+  periodic event (tag ``("monitor",)``), so it fires every
+  ``monitor_period`` cycles of a run or a resumed checkpoint, skips
+  blocks with in-flight activity (transient L1 states, write-back
   buffer entries, busy/queued directory transactions, undelivered NoC
   messages), and on the remaining — block-quiescent — population checks
   the structural invariants plus the **data-value invariant**: every
@@ -152,21 +154,7 @@ class InvariantMonitor:
         self.violations: list[str] = []
         for l1 in machine.l1s:
             l1.commit_hook = self.golden.commit
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm the periodic check (called by ``Machine.run``)."""
-        self.machine.engine.schedule_tagged(self.period, self._fire,
-                                            ("monitor",))
-
-    def _fire(self) -> None:
-        self.check()
-        # reschedule only while cores are unfinished: keying on the event
-        # queue instead would let two periodic services (e.g. monitor +
-        # fault lottery) keep each other alive forever
-        if any(c is not None and not c.done for c in self.machine.cores):
-            self.machine.engine.schedule_tagged(self.period, self._fire,
-                                                ("monitor",))
+        machine.register(("monitor",), self.check, period)
 
     # -- checkpoint layer ---------------------------------------------
     def snapshot(self) -> dict:

@@ -9,9 +9,10 @@ buffer contents, directory busy entries with their pending queues, and
 the NoC messages still in flight — everything needed to localize a
 wedged transaction.
 
-While unfinished cores exist the watchdog keeps itself scheduled, so a
-drained-but-deadlocked event queue also surfaces as a watchdog report
-instead of a bare "core never finished".
+The watchdog registers itself with the machine as a periodic event
+(tag ``("watchdog",)``), which stays scheduled while unfinished cores
+exist, so a drained-but-deadlocked event queue also surfaces as a
+watchdog report instead of a bare "core never finished".
 """
 from __future__ import annotations
 
@@ -112,11 +113,7 @@ class ProgressWatchdog:
         self.interval = interval
         self._last: tuple | None = None
         self._stalls = 0
-
-    def start(self) -> None:
-        """Arm the periodic poll (called by ``Machine.run``)."""
-        self.machine.engine.schedule_tagged(self.interval, self._fire,
-                                            ("watchdog",))
+        machine.register(("watchdog",), self._fire, interval)
 
     def _progress(self) -> tuple:
         cores = [c for c in self.machine.cores if c is not None]
@@ -127,32 +124,25 @@ class ProgressWatchdog:
         )
 
     def _fire(self) -> None:
-        cores = [c for c in self.machine.cores if c is not None]
-        unfinished = [c for c in cores if not c.done]
+        unfinished = [c for c in self.machine.cores
+                      if c is not None and not c.done]
         if not unfinished:
             return  # run is finishing; let the queue drain naturally
         snap = self._progress()
-        if any(c.blocked_op is None for c in unfinished):
-            # a runnable core (e.g. mid-Compute) is forward progress even
-            # while the retirement counters sit still
-            self._stalls = 0
-            self._last = snap
-            self.machine.engine.schedule_tagged(self.interval, self._fire,
-                                                ("watchdog",))
-            return
-        if snap == self._last:
+        if snap == self._last and all(c.blocked_op is not None
+                                      for c in unfinished):
             self._stalls += 1
             if self._stalls >= STALL_THRESHOLD:
                 raise DeadlockError(
                     f"no op retired in {self._stalls * self.interval} "
-                    f"cycles ({sum(1 for c in cores if not c.done)} core(s) "
-                    "unfinished)\n" + diagnostic_dump(self.machine)
+                    f"cycles ({len(unfinished)} core(s) unfinished)\n"
+                    + diagnostic_dump(self.machine)
                 )
         else:
+            # a runnable core (e.g. mid-Compute) is forward progress even
+            # while the retirement counters sit still
             self._stalls = 0
             self._last = snap
-        self.machine.engine.schedule_tagged(self.interval, self._fire,
-                                            ("watchdog",))
 
     # -- checkpoint layer ---------------------------------------------
     def snapshot(self) -> dict:

@@ -46,3 +46,16 @@ def test_cli_prints_table(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "flips/Mcycle" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--jobs", "0"), ("--retries", "-1"), ("--point-timeout", "-1"),
+    ("--seeds-per-cell", "0"), ("--threads", "0"), ("--rates", "-1"),
+    ("--scale", "0"),
+])
+def test_bad_values_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "--scale", "0.05", "--rates", "0",
+              flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be" in capsys.readouterr().err

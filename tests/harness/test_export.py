@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.harness import figures as F
+from repro.harness.cli import _ALL, _EXTRA_FIGS
 from repro.harness.export import export_result, records_for, write_csv
 
 
@@ -27,6 +28,31 @@ class TestRecords:
         assert recs[0]["timeout_cycles"] == 128
         assert set(recs[0]) == {"timeout_cycles", "gi_serviced_pct",
                                 "error_mpe_pct"}
+
+    def test_topology_records(self):
+        res = F.fig_topology(("mesh", "ring"), (4,), n_points=128, seed=1)
+        recs = records_for("topology", res)
+        assert [(r["topology"], r["cores"]) for r in recs] == [
+            ("mesh", 4), ("ring", 4)]
+        assert list(recs[0]) == [
+            "topology", "cores", "dir_hops", "cycles", "gs_serviced_pct",
+            "gi_serviced_pct", "gi_flashes_per_kcycle", "flit_hops",
+            "hops_per_flit", "error_pct"]
+        assert recs[0]["cycles"] == res.rows[0].cycles
+
+    @pytest.mark.parametrize("name", _ALL + _EXTRA_FIGS)
+    def test_every_cli_figure_has_an_exporter(self, name):
+        """An exporter reads its result; only a missing one raises
+        ``KeyError`` before it does."""
+        class Reached(Exception):
+            pass
+
+        class Probe:
+            def __getattr__(self, attr):
+                raise Reached(attr)
+
+        with pytest.raises(Reached):
+            records_for(name, Probe())
 
     def test_unknown_figure(self):
         with pytest.raises(KeyError):

@@ -79,7 +79,6 @@ class TestMetricsTimeline:
     def test_samples_are_cumulative_and_end_anchored(self):
         m = build_machine(1)
         sampler = MetricsTimeline(m, interval=50)
-        sampler.start()
 
         def prog():
             yield Store(BLK, 1)
@@ -100,7 +99,6 @@ class TestMetricsTimeline:
     def test_short_run_still_produces_a_row(self):
         m = build_machine(1)
         sampler = MetricsTimeline(m, interval=10_000)
-        sampler.start()
 
         def prog():
             yield Store(BLK, 1)

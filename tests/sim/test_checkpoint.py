@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import small_config
+from repro.common.config import FaultConfig, small_config
 from repro.harness.experiment import experiment_config, row_from_result
 from repro.harness.options import RunOptions
 from repro.workloads.base import WorkloadResult
@@ -333,6 +333,81 @@ class TestWorkloadMatrix:
         row2 = row_from_result(
             "bad_dot_product", WorkloadResult(fresh_w, fresh, end2), cfg)
         assert dataclasses.asdict(row2) == dataclasses.asdict(base_row)
+
+
+class TestServices:
+    """Every machine service survives a checkpoint round trip: with the
+    invariant monitor, watchdog, metrics timeline, cache-flip lottery
+    and NoC faults armed, a checkpoint taken mid-run resumes to the
+    uninterrupted run's fingerprint, finish cycles and service state.
+    The services wire themselves at construction, so a restored machine
+    injects the same NoC faults as a run it never started."""
+
+    SERVICES = {"monitor", "watchdog", "injector", "timeline"}
+
+    @staticmethod
+    def _cfg(faults: FaultConfig):
+        cfg = experiment_config(d_distance=4, num_cores=4)
+        return dataclasses.replace(
+            cfg,
+            verify=dataclasses.replace(
+                cfg.verify, monitor_period=500, watchdog_interval=1000,
+                checkpoint_period=200),
+            faults=faults,
+            obs=dataclasses.replace(cfg.obs, timeline_interval=700))
+
+    @staticmethod
+    def _machine(cfg):
+        w = registry_create("histogram", num_threads=4, seed=11,
+                            scale=0.05)
+        return w.prepare(cfg)
+
+    @pytest.mark.parametrize("faults", [
+        FaultConfig(cache_rate=200.0, delay_jitter=3, seed=5,
+                    policy="recover"),
+        FaultConfig(cache_rate=200.0, msg_rate=0.01, delay_jitter=3,
+                    seed=5, policy="recover"),
+    ], ids=["jitter", "jitter-and-flips"])
+    def test_all_services_round_trip(self, faults):
+        cfg = self._cfg(faults)
+        base = self._machine(cfg)
+        end = base.run()
+        assert all(getattr(base, name) is not None for name in self.SERVICES)
+        assert base.stats.child("faults").jittered_messages > 0
+        mids = [c for c in base.checkpoint_recorder.checkpoints
+                if 0 < c.cycle < min(base.core_finish_cycles())]
+        assert mids, "no mid-run safe point in this cell"
+        ckpt = mids[len(mids) // 2]
+
+        fresh = self._machine(cfg)
+        ckpt.restore_into(fresh, verify=True)
+        assert fresh.resume() == end
+        assert fresh.core_finish_cycles() == base.core_finish_cycles()
+        assert machine_fingerprint(fresh) == machine_fingerprint(base)
+        assert fresh.injector.log == base.injector.log
+        assert fresh.monitor.violations == base.monitor.violations
+        assert fresh.timeline.result() == base.timeline.result()
+
+    def test_service_mismatch_fails_loudly(self):
+        cfg = self._cfg(FaultConfig(delay_jitter=3, seed=5))
+        base = self._machine(cfg)
+        base.run()
+        ckpt = base.checkpoint_recorder.latest()
+        bare = self._machine(dataclasses.replace(
+            cfg, obs=dataclasses.replace(cfg.obs, timeline_interval=0)))
+        with pytest.raises(ValueError, match="timeline"):
+            ckpt.restore_into(bare)
+
+    def test_unknown_tag_fails_loudly(self):
+        base = _scripted_machine(2)
+        base.run()
+        ckpt = base.checkpoint_recorder.checkpoints[0]
+        engine = dict(ckpt.blob["engine"])
+        engine["events"] = [*engine["events"],
+                            (ckpt.cycle + 1, engine["seq"] + 1, ("bogus", 7))]
+        bad = dataclasses.replace(ckpt, blob={**ckpt.blob, "engine": engine})
+        with pytest.raises(ValueError, match=r"\('bogus', 7\)"):
+            bad.restore_into(_scripted_machine(2))
 
 
 class TestCli:
